@@ -7,7 +7,8 @@
 // the worker count for the parallelized stages. Every configuration is
 // run twice — once at 1 thread as the baseline, once at N — and the
 // per-stage speedup is reported; outputs are bitwise-identical across
-// thread counts (see util/thread_pool.h), so only the times differ.
+// thread counts (see util/thread_pool.h), so only the times differ. The
+// bench checks that: it aborts if the two region series differ.
 // `--json=PATH` additionally emits the per-stage records as JSON.
 // `--trace=PATH` / `--metrics=PATH` enable the observability layer
 // (util/trace.h, util/metrics.h) and write the chrome://tracing span
@@ -15,6 +16,7 @@
 // "metric/..." records.
 
 #include <cstdio>
+#include <cstring>
 #include <string>
 #include <utility>
 #include <vector>
@@ -32,23 +34,29 @@ using namespace neuroprint;
 
 namespace {
 
-// Stage name -> seconds for one full pipeline pass (plus the connectome
+// One full pipeline pass: stage name -> seconds (plus the connectome
 // build on the resulting region series, which the attack always runs
-// next and which is parallelized the same way).
-std::vector<std::pair<std::string, double>> TimeStages(
-    const image::Volume4D& run, const atlas::Atlas& atlas,
-    preprocess::PipelineConfig config, std::size_t threads) {
+// next and which is parallelized the same way), and the region series,
+// which must not depend on the thread count.
+struct StageTiming {
+  std::vector<std::pair<std::string, double>> stages;
+  linalg::Matrix region_series;
+};
+
+StageTiming TimeStages(const image::Volume4D& run, const atlas::Atlas& atlas,
+                       preprocess::PipelineConfig config,
+                       std::size_t threads) {
   config.parallel.num_threads = threads;
   auto output = preprocess::RunPipeline(run, atlas, config);
   NP_CHECK(output.ok()) << output.status().ToString();
-  std::vector<std::pair<std::string, double>> stages =
-      std::move(output->stage_seconds);
+  StageTiming timing{std::move(output->stage_seconds),
+                     std::move(output->region_series)};
   Stopwatch clock;
   auto conn =
-      connectome::BuildConnectome(output->region_series, config.parallel);
+      connectome::BuildConnectome(timing.region_series, config.parallel);
   NP_CHECK(conn.ok()) << conn.status().ToString();
-  stages.emplace_back("connectome_build", clock.ElapsedSeconds());
-  return stages;
+  timing.stages.emplace_back("connectome_build", clock.ElapsedSeconds());
+  return timing;
 }
 
 }  // namespace
@@ -98,8 +106,17 @@ int main(int argc, char** argv) {
   preprocess::PipelineConfig config = preprocess::RestingStateConfig();
   config.registration.sample_stride = 2;
 
-  const auto baseline = TimeStages(*run, *atlas, config, 1);
-  const auto threaded = TimeStages(*run, *atlas, config, threads);
+  const StageTiming timed_1t = TimeStages(*run, *atlas, config, 1);
+  const StageTiming timed_nt = TimeStages(*run, *atlas, config, threads);
+  const linalg::Matrix& series_1t = timed_1t.region_series;
+  const linalg::Matrix& series_nt = timed_nt.region_series;
+  NP_CHECK(series_1t.rows() == series_nt.rows() &&
+           series_1t.cols() == series_nt.cols() &&
+           std::memcmp(series_1t.data(), series_nt.data(),
+                       series_1t.size() * sizeof(double)) == 0)
+      << "region series differ between 1 and " << threads << " threads";
+  const auto& baseline = timed_1t.stages;
+  const auto& threaded = timed_nt.stages;
   NP_CHECK_EQ(baseline.size(), threaded.size());
 
   double total_1t = 0.0;

@@ -103,41 +103,56 @@ Result<RegistrationResult> RegisterRigid(const Volume3D& reference,
 }
 
 Result<MotionCorrectionResult> MotionCorrect(
-    const Volume4D& run, const RegistrationOptions& options) {
+    const Volume4D& run, const RegistrationOptions& options,
+    const ParallelContext& parallel) {
   if (run.empty()) return Status::InvalidArgument("MotionCorrect: empty run");
   MotionCorrectionResult out;
   out.corrected = run;
   out.motion.resize(run.nt());
 
   const Volume3D reference = run.ExtractVolume(0);
+  // Each frame writes only its own motion entry, corrected volume and
+  // flag, so frames run in any order on any thread.
+  std::vector<char> degraded(run.nt(), 0);
+  NP_RETURN_IF_ERROR(ParallelForStatus(
+      parallel, 1, run.nt(), 1,
+      [&](std::size_t t_lo, std::size_t t_hi) -> Status {
+        for (std::size_t t = t_lo; t < t_hi; ++t) {
+          const Volume3D frame = run.ExtractVolume(t);
+          // A fault injected at this point behaves exactly like the
+          // frame's registration failing, so it exercises the fallback
+          // path too. The point is keyed by frame, so which frames fire
+          // does not depend on scheduling.
+          Status injected = Status::OK();
+          if (fault::Enabled()) {
+            injected = fault::InjectedError("pipeline.motion_correct", t);
+          }
+          Result<RegistrationResult> reg =
+              injected.ok() ? RegisterRigid(reference, frame, options)
+                            : Result<RegistrationResult>(injected);
+          if (!reg.ok()) {
+            if (!options.identity_fallback_on_failure) return reg.status();
+            // Degrade instead of failing: the frame stays unregistered
+            // under the identity transform (out.corrected already holds
+            // it).
+            out.motion[t] = RigidTransform{};
+            degraded[t] = 1;
+            continue;
+          }
+          out.motion[t] = reg->transform;
+          if (!reg->transform.IsApproxIdentity(1e-9)) {
+            auto resampled = ResampleRigid(frame, reg->transform);
+            if (!resampled.ok()) return resampled.status();
+            out.corrected.SetVolume(t, *resampled);
+          }
+        }
+        return Status::OK();
+      }));
   for (std::size_t t = 1; t < run.nt(); ++t) {
-    const Volume3D frame = run.ExtractVolume(t);
-    // A fault injected at this point behaves exactly like the frame's
-    // registration failing, so it exercises the fallback path too.
-    Status injected = Status::OK();
-    if (fault::Enabled()) {
-      injected = fault::InjectedError("pipeline.motion_correct", t);
-    }
-    Result<RegistrationResult> reg =
-        injected.ok() ? RegisterRigid(reference, frame, options)
-                      : Result<RegistrationResult>(injected);
-    if (!reg.ok()) {
-      if (!options.identity_fallback_on_failure) return reg.status();
-      // Degrade instead of failing: the frame stays unregistered under
-      // the identity transform (out.corrected already holds it).
-      out.motion[t] = RigidTransform{};
-      out.degraded_frames.push_back(t);
-      metrics::Count("pipeline.frames_degraded", 1);
-      continue;
-    }
-    out.motion[t] = reg->transform;
-    if (!reg->transform.IsApproxIdentity(1e-9)) {
-      auto resampled = ResampleRigid(frame, reg->transform);
-      if (!resampled.ok()) return resampled.status();
-      out.corrected.SetVolume(t, *resampled);
-    }
+    if (degraded[t]) out.degraded_frames.push_back(t);
   }
   if (!out.degraded_frames.empty()) {
+    metrics::Count("pipeline.frames_degraded", out.degraded_frames.size());
     metrics::Count("pipeline.scans_degraded", 1);
   }
   return out;

@@ -11,6 +11,7 @@
 #include "image/affine.h"
 #include "image/volume.h"
 #include "util/status.h"
+#include "util/thread_pool.h"
 
 namespace neuroprint::image {
 
@@ -56,8 +57,12 @@ struct MotionCorrectionResult {
   std::vector<std::size_t> degraded_frames;
 };
 
+/// Frames register independently, in parallel under `parallel`; the
+/// result (including which error fail-fast returns: the lowest failing
+/// frame's) does not depend on the thread count.
 Result<MotionCorrectionResult> MotionCorrect(
-    const Volume4D& run, const RegistrationOptions& options = {});
+    const Volume4D& run, const RegistrationOptions& options = {},
+    const ParallelContext& parallel = {});
 
 }  // namespace neuroprint::image
 

@@ -95,14 +95,20 @@ Result<Volume3D> GaussianSmooth(const Volume3D& v, double fwhm_mm) {
   return out;
 }
 
-Result<Volume4D> GaussianSmooth4D(const Volume4D& v, double fwhm_mm) {
+Result<Volume4D> GaussianSmooth4D(const Volume4D& v, double fwhm_mm,
+                                  const ParallelContext& parallel) {
   if (v.empty()) return Status::InvalidArgument("GaussianSmooth4D: empty run");
   Volume4D out = v;
-  for (std::size_t t = 0; t < v.nt(); ++t) {
-    auto smoothed = GaussianSmooth(v.ExtractVolume(t), fwhm_mm);
-    if (!smoothed.ok()) return smoothed.status();
-    out.SetVolume(t, *smoothed);
-  }
+  NP_RETURN_IF_ERROR(ParallelForStatus(
+      parallel, 0, v.nt(), 1,
+      [&](std::size_t t_lo, std::size_t t_hi) -> Status {
+        for (std::size_t t = t_lo; t < t_hi; ++t) {
+          auto smoothed = GaussianSmooth(v.ExtractVolume(t), fwhm_mm);
+          if (!smoothed.ok()) return smoothed.status();
+          out.SetVolume(t, *smoothed);
+        }
+        return Status::OK();
+      }));
   return out;
 }
 

@@ -222,7 +222,9 @@ Result<PipelineOutput> RunPipeline(const image::Volume4D& raw,
   if (config.slice_time_correction && run.nz() > 1 && run.nt() > 2) {
     NP_TRACE_SCOPE("pipeline.slice_timing");
     NP_FAULT_POINT("pipeline.slice_timing");
-    auto corrected = SliceTimeCorrect(run, config.slice_order);
+    auto corrected =
+        SliceTimeCorrect(run, config.slice_order, /*reference_slice=*/0,
+                         signal::InterpKind::kWindowedSinc, config.parallel);
     if (!corrected.ok()) return corrected.status();
     run = std::move(corrected).value();
     log_stage("slice_timing");
@@ -236,7 +238,8 @@ Result<PipelineOutput> RunPipeline(const image::Volume4D& raw,
     if (config.failure_policy.mode != FailureMode::kFailFast) {
       registration.identity_fallback_on_failure = true;
     }
-    auto corrected = image::MotionCorrect(run, registration);
+    auto corrected =
+        image::MotionCorrect(run, registration, config.parallel);
     if (!corrected.ok()) return corrected.status();
     run = std::move(corrected->corrected);
     output.motion = std::move(corrected->motion);
@@ -256,7 +259,8 @@ Result<PipelineOutput> RunPipeline(const image::Volume4D& raw,
 
   if (config.smoothing_fwhm_mm > 0.0) {
     NP_TRACE_SCOPE("pipeline.smoothing");
-    auto smoothed = image::GaussianSmooth4D(run, config.smoothing_fwhm_mm);
+    auto smoothed = image::GaussianSmooth4D(run, config.smoothing_fwhm_mm,
+                                            config.parallel);
     if (!smoothed.ok()) return smoothed.status();
     run = std::move(smoothed).value();
     log_stage("smoothing");

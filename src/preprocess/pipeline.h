@@ -70,7 +70,9 @@ struct PipelineConfig {
 
   bool zscore_series = true;
 
-  /// Threads for the per-voxel and per-region stages. Never changes
+  /// Threads for every voxel stage (slice timing over voxel rows, motion
+  /// correction and smoothing over frames, global signal and grand mean
+  /// over frames) and every per-region cleanup stage. Never changes
   /// results (see util/thread_pool.h), only wall-clock time.
   ParallelContext parallel;
 

@@ -35,7 +35,8 @@ std::vector<double> SliceAcquisitionFractions(std::size_t nz,
 Result<image::Volume4D> SliceTimeCorrect(const image::Volume4D& run,
                                          SliceOrder order,
                                          std::size_t reference_slice,
-                                         signal::InterpKind interp) {
+                                         signal::InterpKind interp,
+                                         const ParallelContext& parallel) {
   if (run.empty()) {
     return Status::InvalidArgument("SliceTimeCorrect: empty run");
   }
@@ -45,23 +46,54 @@ Result<image::Volume4D> SliceTimeCorrect(const image::Volume4D& run,
   }
   const std::vector<double> fractions =
       SliceAcquisitionFractions(run.nz(), order);
+  const std::size_t nx = run.nx(), ny = run.ny(), nz = run.nz();
+  const std::size_t nt = run.nt();
 
-  image::Volume4D out = run;
-  for (std::size_t z = 0; z < run.nz(); ++z) {
-    // A slice acquired `delta` TRs later than the reference holds sample
-    // s(t + delta) at index t; the value aligned to the reference's time
-    // grid is s(t), i.e. the series evaluated at index t - delta.
-    const double delta = fractions[z] - fractions[reference_slice];
-    if (delta == 0.0) continue;
-    for (std::size_t y = 0; y < run.ny(); ++y) {
-      for (std::size_t x = 0; x < run.nx(); ++x) {
-        auto shifted =
-            signal::ShiftSeries(run.VoxelTimeSeries(x, y, z), -delta, interp);
-        if (!shifted.ok()) return shifted.status();
-        out.SetVoxelTimeSeries(x, y, z, *shifted);
+  // A slice acquired `delta` TRs later than the reference holds sample
+  // s(t + delta) at index t; the value aligned to the reference's time
+  // grid is s(t), i.e. the series evaluated at index t - delta. The taps
+  // for that depend only on the slice, so each slice gets one table of nt
+  // entries (empty for slices that need no shift).
+  std::vector<std::vector<signal::InterpTaps>> tables(nz);
+  ParallelFor(parallel, 0, nz, 1, [&](std::size_t z_lo, std::size_t z_hi) {
+    for (std::size_t z = z_lo; z < z_hi; ++z) {
+      const double delta = fractions[z] - fractions[reference_slice];
+      if (delta == 0.0) continue;
+      const double shift = -delta;
+      tables[z].resize(nt);
+      for (std::size_t i = 0; i < nt; ++i) {
+        tables[z][i] =
+            signal::ComputeTaps(nt, static_cast<double>(i) + shift, interp);
       }
     }
-  }
+  });
+
+  image::Volume4D out = run;
+  const std::size_t stride = run.voxels_per_volume();
+  const float* src = run.data();
+  float* dst = out.data();
+  // One item is an x-row of one slice; rows write disjoint voxels.
+  ParallelFor(
+      parallel, 0, nz * ny,
+      GrainForWork(nx * nt * signal::InterpTaps::kMaxTaps),
+      [&](std::size_t row_lo, std::size_t row_hi) {
+        for (std::size_t row = row_lo; row < row_hi; ++row) {
+          const std::vector<signal::InterpTaps>& table = tables[row / ny];
+          if (table.empty()) continue;
+          // Output-time outer, x inner: one tap set serves the whole row,
+          // reading nx contiguous floats per source frame.
+          for (std::size_t i = 0; i < nt; ++i) {
+            const signal::InterpTaps& taps = table[i];
+            for (std::size_t x = 0; x < nx; ++x) {
+              const std::size_t voxel = x + nx * row;
+              const double value = signal::ApplyTaps(taps, [&](std::size_t t) {
+                return static_cast<double>(src[voxel + t * stride]);
+              });
+              dst[voxel + i * stride] = static_cast<float>(value);
+            }
+          }
+        }
+      });
   return out;
 }
 

@@ -10,6 +10,7 @@
 #include "image/volume.h"
 #include "signal/resample.h"
 #include "util/status.h"
+#include "util/thread_pool.h"
 
 namespace neuroprint::preprocess {
 
@@ -24,11 +25,15 @@ enum class SliceOrder {
 std::vector<double> SliceAcquisitionFractions(std::size_t nz, SliceOrder order);
 
 /// Shifts every voxel's time series so all slices align to the acquisition
-/// time of slice `reference_slice`.
+/// time of slice `reference_slice`. Each voxel's result is bitwise equal
+/// to signal::ShiftSeries on its series; the interpolation taps are built
+/// once per slice and voxel rows run in parallel, so `parallel` changes
+/// only wall-clock time.
 Result<image::Volume4D> SliceTimeCorrect(
     const image::Volume4D& run, SliceOrder order,
     std::size_t reference_slice = 0,
-    signal::InterpKind interp = signal::InterpKind::kWindowedSinc);
+    signal::InterpKind interp = signal::InterpKind::kWindowedSinc,
+    const ParallelContext& parallel = {});
 
 }  // namespace neuroprint::preprocess
 

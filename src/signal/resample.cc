@@ -21,40 +21,50 @@ double LanczosKernel(double x) {
   return Sinc(x) * Sinc(x / kLanczosA);
 }
 
-double SampleClamped(const std::vector<double>& x, std::ptrdiff_t i) {
-  const std::ptrdiff_t n = static_cast<std::ptrdiff_t>(x.size());
-  return x[static_cast<std::size_t>(std::clamp<std::ptrdiff_t>(i, 0, n - 1))];
+std::size_t ClampIndex(std::ptrdiff_t i, std::size_t n) {
+  return static_cast<std::size_t>(
+      std::clamp<std::ptrdiff_t>(i, 0, static_cast<std::ptrdiff_t>(n) - 1));
 }
 
 double EvaluateAt(const std::vector<double>& x, double t, InterpKind kind) {
-  const double n_minus_1 = static_cast<double>(x.size() - 1);
+  return ApplyTaps(ComputeTaps(x.size(), t, kind),
+                   [&x](std::size_t i) { return x[i]; });
+}
+
+}  // namespace
+
+InterpTaps ComputeTaps(std::size_t n, double t, InterpKind kind) {
+  InterpTaps taps;
+  taps.kind = kind;
+  const double n_minus_1 = static_cast<double>(n - 1);
   const double tc = std::clamp(t, 0.0, n_minus_1);
   switch (kind) {
     case InterpKind::kLinear: {
       const double floor_t = std::floor(tc);
       const auto i0 = static_cast<std::ptrdiff_t>(floor_t);
       const double frac = tc - floor_t;
-      return (1.0 - frac) * SampleClamped(x, i0) +
-             frac * SampleClamped(x, i0 + 1);
+      taps.count = 2;
+      taps.index[0] = ClampIndex(i0, n);
+      taps.index[1] = ClampIndex(i0 + 1, n);
+      taps.weight[0] = 1.0 - frac;
+      taps.weight[1] = frac;
+      break;
     }
     case InterpKind::kWindowedSinc: {
       const auto center = static_cast<std::ptrdiff_t>(std::floor(tc));
-      double value = 0.0;
-      double weight_sum = 0.0;
       for (std::ptrdiff_t k = center - kLanczosA + 1; k <= center + kLanczosA;
            ++k) {
         const double w = LanczosKernel(tc - static_cast<double>(k));
-        value += w * SampleClamped(x, k);
-        weight_sum += w;
+        taps.index[taps.count] = ClampIndex(k, n);
+        taps.weight[taps.count] = w;
+        ++taps.count;
+        taps.weight_sum += w;
       }
-      // Renormalize near boundaries where the kernel is truncated.
-      return weight_sum != 0.0 ? value / weight_sum : value;
+      break;
     }
   }
-  return 0.0;
+  return taps;
 }
-
-}  // namespace
 
 Result<std::vector<double>> ShiftSeries(const std::vector<double>& x,
                                         double shift, InterpKind kind) {

@@ -308,6 +308,39 @@ TEST_F(FaultInjectionPipelineTest, MotionFailureFailsFastByDefault) {
   EXPECT_EQ(output.status().code(), StatusCode::kInternal);
 }
 
+// Frames register in parallel; keyed points and the per-frame flags keep
+// both policies' outcomes independent of the thread count.
+TEST_F(FaultInjectionPipelineTest, DegradedFramesAreAscendingAtAnyThreadCount) {
+  for (const std::size_t threads : {1, 8}) {
+    preprocess::PipelineConfig config = FastConfig();
+    config.parallel.num_threads = threads;
+    config.failure_policy = FailurePolicy::SkipAndReport();
+    config.fault.schedule =
+        "pipeline.motion_correct#3=error;pipeline.motion_correct#7=error";
+    const auto output = preprocess::RunPipeline(runs_[0], atlas_, config);
+    ASSERT_TRUE(output.ok()) << output.status();
+    EXPECT_EQ(output->degraded_frames, (std::vector<std::size_t>{3, 7}))
+        << threads << " threads";
+  }
+}
+
+TEST_F(FaultInjectionPipelineTest, FailFastReturnsLowestFailingFrame) {
+  for (const std::size_t threads : {1, 8}) {
+    preprocess::PipelineConfig config = FastConfig();
+    config.parallel.num_threads = threads;
+    config.fault.schedule =
+        "pipeline.motion_correct#7=error:Internal:frame seven;"
+        "pipeline.motion_correct#3=error:CorruptData:frame three";
+    const auto output = preprocess::RunPipeline(runs_[0], atlas_, config);
+    ASSERT_FALSE(output.ok());
+    EXPECT_EQ(output.status().code(), StatusCode::kCorruptData)
+        << threads << " threads";
+    EXPECT_NE(output.status().message().find("frame three"),
+              std::string::npos)
+        << output.status();
+  }
+}
+
 TEST_F(FaultInjectionPipelineTest, BatchSkipsFailedRunAndReportsIt) {
   preprocess::PipelineConfig config = FastConfig();
   config.failure_policy = FailurePolicy::SkipAndReport();

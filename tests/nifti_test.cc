@@ -1,6 +1,7 @@
 // NIfTI codec tests: header round-trip, voxel round-trip across data
 // types and compression, endianness handling, and corrupt-file rejection.
 
+#include <array>
 #include <cstdio>
 #include <fstream>
 #include <limits>
@@ -118,11 +119,22 @@ TEST(NiftiHeaderTest, BitsPerVoxel) {
 }
 
 // Parameterized write/read round trip over dtype x compression.
+// gtest prints this struct as a raw byte dump, and the CMake test discovery
+// puts that dump in the ctest name, so the padding is an explicit zeroed
+// member: left implicit, its bytes are stack garbage and the name of each
+// case changes from run to run.
 struct RoundTripCase {
+  RoundTripCase(DataType datatype_in, bool gzip_in, double tolerance_in)
+      : datatype(datatype_in), gzip(gzip_in), tolerance(tolerance_in) {}
+
   DataType datatype;
   bool gzip;
+  std::array<unsigned char,
+             sizeof(double) - sizeof(DataType) - sizeof(bool)> padding{};
   double tolerance;  // Integer types quantize.
 };
+static_assert(sizeof(RoundTripCase) == 2 * sizeof(double),
+              "RoundTripCase must have no implicit padding");
 
 class NiftiRoundTripTest : public ::testing::TestWithParam<RoundTripCase> {};
 

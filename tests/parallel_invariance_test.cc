@@ -218,10 +218,26 @@ TEST(ParallelInvarianceTest, TemporalCleanup) {
 Result<preprocess::PipelineOutput> RunSmallPipeline(
     const image::Volume4D& run, const atlas::Atlas& atlas,
     std::size_t threads) {
+  // Every voxel stage runs: slice timing, motion correction, masking,
+  // smoothing and the frame reductions.
   preprocess::PipelineConfig config = preprocess::RestingStateConfig();
-  config.motion_correction = false;  // Keep the voxel pass cheap.
   config.parallel.num_threads = threads;
   return preprocess::RunPipeline(run, atlas, config);
+}
+
+void ExpectBitwiseEqual(const std::vector<image::RigidTransform>& a,
+                        const std::vector<image::RigidTransform>& b,
+                        const char* stage) {
+  ASSERT_EQ(a.size(), b.size()) << stage;
+  for (std::size_t t = 0; t < a.size(); ++t) {
+    const auto pa = a[t].AsArray();
+    const auto pb = b[t].AsArray();
+    for (std::size_t k = 0; k < pa.size(); ++k) {
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(pa[k]),
+                std::bit_cast<std::uint64_t>(pb[k]))
+          << stage << ": frame " << t << " parameter " << k;
+    }
+  }
 }
 
 TEST(ParallelInvarianceTest, VoxelPipeline) {
@@ -246,6 +262,8 @@ TEST(ParallelInvarianceTest, VoxelPipeline) {
     const auto out = RunSmallPipeline(run, *atlas, threads);
     ASSERT_TRUE(out.ok());
     ExpectBitwiseEqual(out1->region_series, out->region_series, "RunPipeline");
+    ExpectBitwiseEqual(out1->motion, out->motion, "MotionCorrect");
+    EXPECT_EQ(out1->degraded_frames, out->degraded_frames);
   }
 }
 

@@ -2,6 +2,7 @@
 // stage must remove its planted artifact without destroying the signal.
 
 #include <cmath>
+#include <cstring>
 #include <numbers>
 
 #include <gtest/gtest.h>
@@ -62,6 +63,66 @@ TEST(SliceTimingTest, AlignsPhaseShiftedSlices) {
   // Reference slice untouched.
   for (std::size_t t = 0; t < nt; ++t) {
     EXPECT_FLOAT_EQ(corrected->at(0, 0, 0, t), run.at(0, 0, 0, t));
+  }
+}
+
+// The per-voxel formulation SliceTimeCorrect's tap tables replace: every
+// shifted slice's voxel series goes through signal::ShiftSeries.
+image::Volume4D PerVoxelSliceTimeCorrect(const image::Volume4D& run,
+                                         SliceOrder order,
+                                         std::size_t reference_slice,
+                                         signal::InterpKind interp) {
+  const std::vector<double> fractions =
+      SliceAcquisitionFractions(run.nz(), order);
+  image::Volume4D out = run;
+  for (std::size_t z = 0; z < run.nz(); ++z) {
+    const double delta = fractions[z] - fractions[reference_slice];
+    if (delta == 0.0) continue;
+    for (std::size_t y = 0; y < run.ny(); ++y) {
+      for (std::size_t x = 0; x < run.nx(); ++x) {
+        auto shifted =
+            signal::ShiftSeries(run.VoxelTimeSeries(x, y, z), -delta, interp);
+        EXPECT_TRUE(shifted.ok());
+        out.SetVoxelTimeSeries(x, y, z, *shifted);
+      }
+    }
+  }
+  return out;
+}
+
+TEST(SliceTimingTest, TapTablesMatchPerVoxelShiftSeriesBitwise) {
+  // 42 x-rows split into several row chunks (a row carries nx * nt * 8
+  // taps of work), and the first and last outputs of every series read
+  // clamped samples.
+  image::Volume4D run(16, 7, 6, 40);
+  Rng rng(29);
+  for (float& v : run.flat()) {
+    v = static_cast<float>(100.0 + 20.0 * rng.Gaussian());
+  }
+  run.at(0, 0, 1, 0) = 0.0f;
+  run.at(15, 6, 5, 39) = -0.0f;
+  for (const signal::InterpKind interp :
+       {signal::InterpKind::kLinear, signal::InterpKind::kWindowedSinc}) {
+    for (const SliceOrder order :
+         {SliceOrder::kSequentialAscending, SliceOrder::kSequentialDescending,
+          SliceOrder::kInterleavedOdd}) {
+      for (const std::size_t reference : {std::size_t{0}, run.nz() / 2}) {
+        const image::Volume4D expected =
+            PerVoxelSliceTimeCorrect(run, order, reference, interp);
+        for (const std::size_t threads : {1, 2, 8}) {
+          const auto corrected = SliceTimeCorrect(
+              run, order, reference, interp, ParallelContext{threads});
+          ASSERT_TRUE(corrected.ok());
+          ASSERT_EQ(corrected->size(), expected.size());
+          EXPECT_EQ(std::memcmp(corrected->data(), expected.data(),
+                                expected.size() * sizeof(float)),
+                    0)
+              << "interp " << static_cast<int>(interp) << ", order "
+              << static_cast<int>(order) << ", reference " << reference
+              << ", threads " << threads;
+        }
+      }
+    }
   }
 }
 
