@@ -74,8 +74,9 @@ connectome::GroupMatrix MakeProbes(const service::SyntheticGalleryConfig& g,
 }
 
 // Both phases must answer the probe batch identically down to the bit:
-// EnrollStream is contractually bit-identical to EnrollBatch, so any
-// divergence here is a streaming bug, not bench noise.
+// EnrollBatch is EnrollStream over a resident store, and the window
+// determinism contract makes the file-backed windowed read give the same
+// bits, so any divergence here is a streaming bug, not bench noise.
 void CheckBitwiseParity(const service::BatchIdentifyResult& streamed,
                         const service::BatchIdentifyResult& materialized) {
   NP_CHECK(streamed.matches.size() == materialized.matches.size());

@@ -33,6 +33,23 @@ Status CheckTileBounds(const MatrixStore& store, std::size_t row0,
 
 }  // namespace
 
+std::size_t MatrixStore::WindowCols(std::size_t requested) const {
+  if (requested == 0 && resident() != nullptr && num_subjects() > 0) {
+    return num_subjects();
+  }
+  return DeriveWindowCols(num_features(), num_subjects(), requested);
+}
+
+Result<const linalg::Matrix*> MatrixStore::ViewColumns(
+    std::size_t col0, std::size_t col_count, linalg::Matrix* slab) const {
+  const linalg::Matrix* matrix = resident();
+  if (matrix != nullptr && col0 == 0 && col_count == num_subjects()) {
+    return matrix;
+  }
+  NP_RETURN_IF_ERROR(ReadColumns(col0, col_count, slab));
+  return slab;
+}
+
 Status InMemoryMatrixStore::ReadTile(std::size_t row0, std::size_t row_count,
                                      std::size_t col0, std::size_t col_count,
                                      linalg::Matrix* out) const {
@@ -189,15 +206,17 @@ Result<linalg::Matrix> StreamedGram(const MatrixStore& store,
   if (m == 0 || n == 0) {
     return Status::InvalidArgument("StreamedGram: empty store");
   }
-  const std::size_t w = DeriveWindowCols(m, n, options.window_cols);
+  const std::size_t w = store.WindowCols(options.window_cols);
   linalg::Matrix gram(n, n);
   linalg::Matrix slab_a, slab_b;
   for (std::size_t ca = 0; ca < n; ca += w) {
     const std::size_t wa = std::min(w, n - ca);
-    NP_RETURN_IF_ERROR(store.ReadColumns(ca, wa, &slab_a));
+    const linalg::Matrix* window_a = nullptr;
+    NP_ASSIGN_OR_RETURN(window_a, store.ViewColumns(ca, wa, &slab_a));
     // Diagonal block: MatTMul over the full feature height gives each
     // element its complete canonical sum, both triangles at once.
-    linalg::Matrix block = linalg::MatTMul(slab_a, slab_a, options.parallel);
+    linalg::Matrix block =
+        linalg::MatTMul(*window_a, *window_a, options.parallel);
     for (std::size_t p = 0; p < wa; ++p) {
       for (std::size_t q = 0; q < wa; ++q) {
         gram(ca + p, ca + q) = block(p, q);
@@ -206,7 +225,7 @@ Result<linalg::Matrix> StreamedGram(const MatrixStore& store,
     for (std::size_t cb = ca + wa; cb < n; cb += w) {
       const std::size_t wb = std::min(w, n - cb);
       NP_RETURN_IF_ERROR(store.ReadColumns(cb, wb, &slab_b));
-      block = linalg::MatTMul(slab_a, slab_b, options.parallel);
+      block = linalg::MatTMul(*window_a, slab_b, options.parallel);
       // Mirror: G is exactly symmetric because each element's canonical
       // sum is term-by-term commutative (same products, same order).
       for (std::size_t p = 0; p < wa; ++p) {
@@ -226,15 +245,16 @@ Result<GroupMatrix> MaterializeStore(const MatrixStore& store) {
   if (m == 0 || n == 0) {
     return Status::InvalidArgument("MaterializeStore: empty store");
   }
-  const std::size_t w = DeriveWindowCols(m, n, 0);
+  const std::size_t w = store.WindowCols(0);
   std::vector<linalg::Vector> columns(n);
   linalg::Matrix slab;
   for (std::size_t c0 = 0; c0 < n; c0 += w) {
     const std::size_t wc = std::min(w, n - c0);
-    NP_RETURN_IF_ERROR(store.ReadColumns(c0, wc, &slab));
+    const linalg::Matrix* window = nullptr;
+    NP_ASSIGN_OR_RETURN(window, store.ViewColumns(c0, wc, &slab));
     for (std::size_t c = 0; c < wc; ++c) {
       columns[c0 + c].resize(m);
-      for (std::size_t r = 0; r < m; ++r) columns[c0 + c][r] = slab(r, c);
+      for (std::size_t r = 0; r < m; ++r) columns[c0 + c][r] = (*window)(r, c);
     }
   }
   return GroupMatrix::FromFeatureColumns(columns, store.subject_ids());

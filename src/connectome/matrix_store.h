@@ -10,6 +10,9 @@
 // in-RAM call produces it. Window size and row-tile size therefore
 // never change a single bit, at any thread count; the `out-of-core`
 // test tier asserts bitwise equality across window sizes x threads.
+// A resident store (one whose matrix is already in RAM) asked for no
+// particular window is read in place as a single window — no copy — which
+// is the same computation at the widest window.
 //
 // The file backend reads tiles with explicit seeks (no mmap): bounded,
 // predictable resident set; a mid-tile truncation (file shrank after
@@ -52,16 +55,34 @@ class MatrixStore {
                           std::size_t col0, std::size_t col_count,
                           linalg::Matrix* out) const = 0;
 
+  /// The whole matrix when it already lives in RAM, else nullptr. A
+  /// resident store is read in place: the streamed kernels hand it to the
+  /// in-RAM code instead of copying windows out of it.
+  virtual const linalg::Matrix* resident() const { return nullptr; }
+
   /// Full-height column window [col0, col0 + col_count).
   Status ReadColumns(std::size_t col0, std::size_t col_count,
                      linalg::Matrix* out) const {
     return ReadTile(0, num_features(), col0, col_count, out);
   }
+
+  /// Columns per window when the caller asked for `requested` (0 = no
+  /// particular width): a resident store is then one window; otherwise
+  /// DeriveWindowCols.
+  std::size_t WindowCols(std::size_t requested) const;
+
+  /// Full-height window [col0, col0 + col_count) for reading: the resident
+  /// matrix itself when the window spans all of it (no copy), else `slab`
+  /// filled by ReadColumns.
+  Result<const linalg::Matrix*> ViewColumns(std::size_t col0,
+                                            std::size_t col_count,
+                                            linalg::Matrix* slab) const;
 };
 
 /// In-RAM adapter: a non-owning view of a GroupMatrix (the caller keeps
-/// it alive). The parity oracle of the out-of-core tests, and the cheap
-/// way to run the streamed kernels on an already-materialized cohort.
+/// it alive). It reports the matrix as resident, so the store-backed
+/// attack, leverage and enroll paths read it in place; the GroupMatrix
+/// overloads of those paths are adapters over this store.
 class InMemoryMatrixStore final : public MatrixStore {
  public:
   explicit InMemoryMatrixStore(const GroupMatrix& group) : group_(&group) {}
@@ -71,6 +92,7 @@ class InMemoryMatrixStore final : public MatrixStore {
   const std::vector<std::string>& subject_ids() const override {
     return group_->subject_ids();
   }
+  const linalg::Matrix* resident() const override { return &group_->data(); }
   Status ReadTile(std::size_t row0, std::size_t row_count, std::size_t col0,
                   std::size_t col_count, linalg::Matrix* out) const override;
 

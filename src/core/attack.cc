@@ -10,69 +10,34 @@
 namespace neuroprint::core {
 namespace {
 
-// Screens a group matrix for unusable subjects (any non-finite value in
-// the feature column) and resolves the batch against `policy`: fail-fast
-// errors on the lowest-index bad subject, skip/quorum record the drops in
-// `report` (stage = `stage`) and return the surviving column indices.
+// Screens a store for unusable subjects (any non-finite value in the
+// feature column), one column window at a time, and resolves the batch
+// against `policy`: fail-fast errors on the lowest-index bad subject,
+// skip/quorum record the drops in `report` (stage = `stage`) and return
+// the surviving column indices.
 Result<std::vector<std::size_t>> ScreenSubjects(
-    const connectome::GroupMatrix& matrix, const FailurePolicy& policy,
-    const char* stage, BatchReport* report) {
-  BatchReport local_report;
-  if (report == nullptr) report = &local_report;
-  report->Clear();
-  report->attempted = matrix.num_subjects();
-
-  const linalg::Matrix& data = matrix.data();
-  std::vector<std::size_t> survivors;
-  survivors.reserve(matrix.num_subjects());
-  for (std::size_t j = 0; j < matrix.num_subjects(); ++j) {
-    bool finite = true;
-    for (std::size_t i = 0; i < matrix.num_features() && finite; ++i) {
-      finite = std::isfinite(data(i, j));
-    }
-    if (finite) {
-      survivors.push_back(j);
-      continue;
-    }
-    BatchItemReport item;
-    item.index = j;
-    item.id = matrix.subject_ids()[j];
-    item.stage = stage;
-    item.status = Status::CorruptData(StrFormat(
-        "subject %s has non-finite feature values", item.id.c_str()));
-    report->failed.push_back(std::move(item));
-  }
-  NP_RETURN_IF_ERROR(ResolveBatch(policy, *report));
-  if (!report->failed.empty()) {
-    metrics::Count("batch.subjects_skipped", report->failed.size());
-  }
-  return survivors;
-}
-
-// Streamed twin of ScreenSubjects: windows the columns through RAM and
-// applies the identical finiteness screen, producing the same survivors
-// and the same report entries as screening the materialized matrix.
-Result<std::vector<std::size_t>> ScreenSubjectsStreamed(
     const connectome::MatrixStore& store, std::size_t window_cols,
     const FailurePolicy& policy, const char* stage, BatchReport* report) {
   BatchReport local_report;
   if (report == nullptr) report = &local_report;
   report->Clear();
-  report->attempted = store.num_subjects();
+  const std::size_t m = store.num_features();
+  const std::size_t n = store.num_subjects();
+  report->attempted = n;
 
-  const std::size_t w = connectome::DeriveWindowCols(
-      store.num_features(), store.num_subjects(), window_cols);
+  const std::size_t w = store.WindowCols(window_cols);
   std::vector<std::size_t> survivors;
-  survivors.reserve(store.num_subjects());
+  survivors.reserve(n);
   linalg::Matrix slab;
-  for (std::size_t c0 = 0; c0 < store.num_subjects(); c0 += w) {
-    const std::size_t wc = std::min(w, store.num_subjects() - c0);
-    NP_RETURN_IF_ERROR(store.ReadColumns(c0, wc, &slab));
+  for (std::size_t c0 = 0; c0 < n; c0 += w) {
+    const std::size_t wc = std::min(w, n - c0);
+    const linalg::Matrix* window = nullptr;
+    NP_ASSIGN_OR_RETURN(window, store.ViewColumns(c0, wc, &slab));
     for (std::size_t c = 0; c < wc; ++c) {
       const std::size_t j = c0 + c;
       bool finite = true;
-      for (std::size_t i = 0; i < store.num_features() && finite; ++i) {
-        finite = std::isfinite(slab(i, c));
+      for (std::size_t i = 0; i < m && finite; ++i) {
+        finite = std::isfinite((*window)(i, c));
       }
       if (finite) {
         survivors.push_back(j);
@@ -101,17 +66,17 @@ Result<connectome::GroupMatrix> GatherFeatureRows(
     const connectome::MatrixStore& store, const std::vector<std::size_t>& rows,
     std::size_t window_cols) {
   const std::size_t n = store.num_subjects();
-  const std::size_t w =
-      connectome::DeriveWindowCols(store.num_features(), n, window_cols);
+  const std::size_t w = store.WindowCols(window_cols);
   std::vector<linalg::Vector> columns(n);
   linalg::Matrix slab;
   for (std::size_t c0 = 0; c0 < n; c0 += w) {
     const std::size_t wc = std::min(w, n - c0);
-    NP_RETURN_IF_ERROR(store.ReadColumns(c0, wc, &slab));
+    const linalg::Matrix* window = nullptr;
+    NP_ASSIGN_OR_RETURN(window, store.ViewColumns(c0, wc, &slab));
     for (std::size_t c = 0; c < wc; ++c) {
       columns[c0 + c].resize(rows.size());
       for (std::size_t i = 0; i < rows.size(); ++i) {
-        columns[c0 + c][i] = slab(rows[i], c);
+        columns[c0 + c][i] = (*window)(rows[i], c);
       }
     }
   }
@@ -124,63 +89,8 @@ Result<connectome::GroupMatrix> GatherFeatureRows(
 Result<DeanonymizationAttack> DeanonymizationAttack::Fit(
     const connectome::GroupMatrix& known, const AttackOptions& options,
     BatchReport* report) {
-  trace::ScopedEnable trace_enable(options.trace.enabled);
-  fault::ScopedSchedule fault_schedule(options.fault.schedule);
-  NP_RETURN_IF_ERROR(fault_schedule.status());
-  NP_TRACE_SCOPE("attack.fit");
-  NP_FAULT_POINT("attack.fit");
-  if (options.num_features == 0) {
-    return Status::InvalidArgument("AttackOptions: num_features must be > 0");
-  }
-  if (known.num_subjects() < 2) {
-    return Status::InvalidArgument(
-        "DeanonymizationAttack: need at least 2 known subjects");
-  }
-  std::vector<std::size_t> survivors;
-  NP_ASSIGN_OR_RETURN(survivors,
-                      ScreenSubjects(known, options.failure_policy,
-                                     "fit_screen", report));
-  connectome::GroupMatrix screened_known;
-  const connectome::GroupMatrix* fit_known = &known;
-  if (survivors.size() < known.num_subjects()) {
-    if (survivors.size() < 2) {
-      return Status::FailedPrecondition(
-          "DeanonymizationAttack: fewer than 2 usable known subjects");
-    }
-    NP_ASSIGN_OR_RETURN(screened_known, known.RestrictToSubjects(survivors));
-    fit_known = &screened_known;
-  }
-  // The leverage stage inherits the attack-wide thread knob unless its own
-  // is set (AttackOptions{.leverage = {.sketch = true}} runs the whole fit
-  // on the randomized sketch).
-  LeverageOptions leverage = options.leverage;
-  if (leverage.parallel.num_threads == 0) {
-    leverage.parallel = options.parallel;
-  }
-  auto scores = ComputeLeverageScores(fit_known->data(), leverage);
-  if (!scores.ok()) return scores.status();
-
-  DeanonymizationAttack attack;
-  attack.leverage_scores_ = std::move(scores).value();
-  attack.selected_features_ =
-      TopKIndices(attack.leverage_scores_, options.num_features);
-  if (attack.selected_features_.size() < 2) {
-    return Status::FailedPrecondition(
-        "DeanonymizationAttack: fewer than 2 usable features");
-  }
-  NP_TRACE_SCOPE("attack.fit.restrict");
-  auto reduced = fit_known->RestrictToFeatures(attack.selected_features_);
-  if (!reduced.ok()) return reduced.status();
-  attack.reduced_known_ = std::move(reduced).value();
-  attack.full_feature_count_ = known.num_features();
-  attack.parallel_ = options.parallel;
-  attack.trace_ = options.trace;
-  attack.failure_policy_ = options.failure_policy;
-  attack.fault_ = options.fault;
-  metrics::Count("attack.fits", 1);
-  metrics::SetGauge("attack.selected_features",
-                    static_cast<double>(attack.selected_features_.size()));
-  return attack;
+  return FitStreamed(connectome::InMemoryMatrixStore(known), options, {},
+                     report);
 }
 
 Result<DeanonymizationAttack> DeanonymizationAttack::FitStreamed(
@@ -200,9 +110,8 @@ Result<DeanonymizationAttack> DeanonymizationAttack::FitStreamed(
   }
   std::vector<std::size_t> survivors;
   NP_ASSIGN_OR_RETURN(
-      survivors, ScreenSubjectsStreamed(known, stream.window_cols,
-                                        options.failure_policy, "fit_screen",
-                                        report));
+      survivors, ScreenSubjects(known, stream.window_cols,
+                                options.failure_policy, "fit_screen", report));
   std::optional<connectome::SubsetColumnsStore> screened_known;
   const connectome::MatrixStore* fit_known = &known;
   if (survivors.size() < known.num_subjects()) {
@@ -215,6 +124,9 @@ Result<DeanonymizationAttack> DeanonymizationAttack::FitStreamed(
     screened_known = std::move(subset).value();
     fit_known = &*screened_known;
   }
+  // The leverage stage inherits the attack-wide thread knob unless its own
+  // is set (AttackOptions{.leverage = {.sketch = true}} runs the whole fit
+  // on the randomized sketch).
   LeverageOptions leverage = options.leverage;
   if (leverage.parallel.num_threads == 0) {
     leverage.parallel = options.parallel;
@@ -248,33 +160,8 @@ Result<DeanonymizationAttack> DeanonymizationAttack::FitStreamed(
 
 Result<AttackResult> DeanonymizationAttack::Identify(
     const connectome::GroupMatrix& anonymous, BatchReport* report) const {
-  trace::ScopedEnable trace_enable(trace_.enabled);
-  fault::ScopedSchedule fault_schedule(fault_.schedule);
-  NP_RETURN_IF_ERROR(fault_schedule.status());
-  NP_TRACE_SCOPE("attack.identify");
-  NP_FAULT_POINT("attack.identify");
-  if (anonymous.num_subjects() == 0) {
-    return Status::InvalidArgument(
-        "Identify: anonymous dataset has no subjects");
-  }
-  if (anonymous.num_features() != full_feature_count_) {
-    return Status::InvalidArgument(StrFormat(
-        "Identify: anonymous dataset has %zu features, attack was fitted "
-        "on %zu — datasets must share a parcellation",
-        anonymous.num_features(), full_feature_count_));
-  }
-  std::vector<std::size_t> survivors;
-  NP_ASSIGN_OR_RETURN(survivors, ScreenSubjects(anonymous, failure_policy_,
-                                                "identify_screen", report));
-  connectome::GroupMatrix screened;
-  const connectome::GroupMatrix* target = &anonymous;
-  if (survivors.size() < anonymous.num_subjects()) {
-    NP_ASSIGN_OR_RETURN(screened, anonymous.RestrictToSubjects(survivors));
-    target = &screened;
-  }
-  auto reduced = target->RestrictToFeatures(selected_features_);
-  if (!reduced.ok()) return reduced.status();
-  return IdentifyReduced(*reduced);
+  return IdentifyStreamed(connectome::InMemoryMatrixStore(anonymous), {},
+                          report);
 }
 
 Result<AttackResult> DeanonymizationAttack::IdentifyStreamed(
@@ -297,9 +184,8 @@ Result<AttackResult> DeanonymizationAttack::IdentifyStreamed(
   }
   std::vector<std::size_t> survivors;
   NP_ASSIGN_OR_RETURN(
-      survivors, ScreenSubjectsStreamed(anonymous, stream.window_cols,
-                                        failure_policy_, "identify_screen",
-                                        report));
+      survivors, ScreenSubjects(anonymous, stream.window_cols,
+                                failure_policy_, "identify_screen", report));
   std::optional<connectome::SubsetColumnsStore> screened;
   const connectome::MatrixStore* target = &anonymous;
   if (survivors.size() < anonymous.num_subjects()) {
@@ -308,14 +194,10 @@ Result<AttackResult> DeanonymizationAttack::IdentifyStreamed(
     screened = std::move(subset).value();
     target = &*screened;
   }
-  auto reduced =
-      GatherFeatureRows(*target, selected_features_, stream.window_cols);
-  if (!reduced.ok()) return reduced.status();
-  return IdentifyReduced(*reduced);
-}
-
-Result<AttackResult> DeanonymizationAttack::IdentifyReduced(
-    const connectome::GroupMatrix& reduced_target) const {
+  connectome::GroupMatrix reduced_target;
+  NP_ASSIGN_OR_RETURN(reduced_target, GatherFeatureRows(*target,
+                                                        selected_features_,
+                                                        stream.window_cols));
   metrics::Count("attack.identifies", 1);
   metrics::SetGauge("attack.identify_subjects",
                     static_cast<double>(reduced_target.num_subjects()));

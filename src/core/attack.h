@@ -63,20 +63,19 @@ struct AttackResult {
 /// matrix, reusable against any number of target datasets.
 class DeanonymizationAttack {
  public:
-  /// Fits the attack on the de-anonymized dataset. Under a non-fail-fast
-  /// failure policy, known subjects with non-finite feature columns are
-  /// dropped before leverage scoring and recorded in `report` (may be
-  /// null; stage "fit_screen").
+  /// Fits the attack on the de-anonymized dataset: an adapter that runs
+  /// FitStreamed over an InMemoryMatrixStore, which reads `known` in place.
   static Result<DeanonymizationAttack> Fit(
       const connectome::GroupMatrix& known, const AttackOptions& options = {},
       BatchReport* report = nullptr);
 
-  /// Out-of-core Fit: identical semantics, reports, and — bit for bit —
-  /// the same leverage scores, selected features, and reduced matrix as
-  /// Fit of the materialized store (the window determinism contract of
-  /// connectome/matrix_store.h), while keeping only column windows of the
-  /// cohort resident. `stream` bounds the working set and never changes
-  /// results.
+  /// Fits the attack on a de-anonymized store. Under a non-fail-fast
+  /// failure policy, known subjects with non-finite feature columns are
+  /// dropped before leverage scoring and recorded in `report` (may be
+  /// null; stage "fit_screen"). A store that is not resident is read in
+  /// column windows, so only one window of the cohort is held in RAM;
+  /// `stream` bounds that working set and never changes results (the
+  /// window determinism contract of connectome/matrix_store.h).
   static Result<DeanonymizationAttack> FitStreamed(
       const connectome::MatrixStore& known, const AttackOptions& options = {},
       const connectome::StreamOptions& stream = {},
@@ -90,29 +89,25 @@ class DeanonymizationAttack {
   /// Leverage scores the selection was based on (full feature space).
   const linalg::Vector& leverage_scores() const { return leverage_scores_; }
 
-  /// Identifies every subject of `anonymous` against the known dataset.
-  /// The anonymous matrix must live in the same (full) feature space the
-  /// attack was fitted on. Under the fitted non-fail-fast failure policy,
-  /// anonymous subjects with non-finite columns are dropped and recorded
-  /// in `report` (may be null; stage "identify_screen") — AttackResult
-  /// then covers only the survivors, in their original order.
+  /// Identifies every subject of `anonymous`: an adapter that runs
+  /// IdentifyStreamed over an InMemoryMatrixStore.
   Result<AttackResult> Identify(const connectome::GroupMatrix& anonymous,
                                 BatchReport* report = nullptr) const;
 
-  /// Out-of-core Identify: bitwise-identical AttackResult to Identify of
-  /// the materialized store; only the selected feature rows and one
-  /// column window at a time are held in RAM.
+  /// Identifies every subject of `anonymous` against the known dataset.
+  /// The store must live in the same (full) feature space the attack was
+  /// fitted on. Under the fitted non-fail-fast failure policy, anonymous
+  /// subjects with non-finite columns are dropped and recorded in
+  /// `report` (may be null; stage "identify_screen") — AttackResult then
+  /// covers only the survivors, in their original order. Only the
+  /// selected feature rows and one column window at a time are held in
+  /// RAM; the window never changes a bit of the result.
   Result<AttackResult> IdentifyStreamed(
       const connectome::MatrixStore& anonymous,
       const connectome::StreamOptions& stream = {},
       BatchReport* report = nullptr) const;
 
  private:
-  /// Shared tail of Identify / IdentifyStreamed: similarity, argmax,
-  /// predicted ids, and accuracy over the feature-reduced target.
-  Result<AttackResult> IdentifyReduced(
-      const connectome::GroupMatrix& reduced_target) const;
-
   connectome::GroupMatrix reduced_known_;
   std::vector<std::size_t> selected_features_;
   linalg::Vector leverage_scores_;

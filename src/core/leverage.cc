@@ -179,6 +179,12 @@ Result<linalg::Vector> ComputeLeverageScores(const linalg::Matrix& a,
 Result<linalg::Vector> ComputeLeverageScoresStreamed(
     const connectome::MatrixStore& store, const LeverageOptions& options,
     const connectome::StreamOptions& stream) {
+  // A resident store asked for no window is read in place: nothing to
+  // stream, so it is not counted as a streamed call.
+  const linalg::Matrix* resident = store.resident();
+  if (resident != nullptr && stream.window_cols == 0) {
+    return ComputeLeverageScores(*resident, options);
+  }
   NP_TRACE_SCOPE("leverage.compute_streamed");
   metrics::Count("leverage.streamed_calls", 1);
   const std::size_t m = store.num_features();
@@ -201,21 +207,16 @@ Result<linalg::Vector> ComputeLeverageScoresStreamed(
       // Row-tiled projection: each tile's MatMul is a full-width GEMM, so
       // every score matches the in-RAM RowSquaredNorms(MatMul(a, basis))
       // bit for bit — MatMul row blocks are independent by construction.
-      const std::size_t k = basis->cols();
       const std::size_t tile = connectome::DeriveRowTile(m, n, stream.row_tile);
       linalg::Vector scores(m, 0.0);
       linalg::Matrix slab;
       for (std::size_t r0 = 0; r0 < m; r0 += tile) {
         const std::size_t tr = std::min(tile, m - r0);
         NP_RETURN_IF_ERROR(store.ReadTile(r0, tr, 0, n, &slab));
-        const linalg::Matrix u =
-            linalg::MatMul(slab, *basis, options.parallel);
-        for (std::size_t i = 0; i < tr; ++i) {
-          const double* row = u.RowPtr(i);
-          double sum = 0.0;
-          for (std::size_t j = 0; j < k; ++j) sum += row[j] * row[j];
-          scores[r0 + i] = sum;
-        }
+        const linalg::Vector tile_scores = RowSquaredNorms(
+            linalg::MatMul(slab, *basis, options.parallel), basis->cols());
+        std::copy(tile_scores.begin(), tile_scores.end(),
+                  scores.begin() + static_cast<std::ptrdiff_t>(r0));
       }
       if (options.diagnostics != nullptr) {
         options.diagnostics->used_gram_fast_path = true;

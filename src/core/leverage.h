@@ -80,11 +80,13 @@ struct LeverageOptions {
 Result<linalg::Vector> ComputeLeverageScores(const linalg::Matrix& a,
                                              const LeverageOptions& options = {});
 
-/// Out-of-core leverage scores: bitwise-identical to ComputeLeverageScores
-/// of the materialized store in every configuration. When the Gram fast
-/// path applies (tall shape, enabled, not sketching) the whole computation
+/// Leverage scores of a store: bitwise-identical to ComputeLeverageScores
+/// of the materialized store in every configuration. A resident store
+/// asked for no window (`stream.window_cols == 0`) is passed to
+/// ComputeLeverageScores in place. Otherwise, when the Gram fast path
+/// applies (tall shape, enabled, not sketching), the whole computation
 /// streams — StreamedGram over column windows, then row-tiled projection —
-/// holding only one slab plus the n x n Gram resident. Other shapes /
+/// holding only one slab plus the n x n Gram resident; other shapes /
 /// modes materialize the store and defer to the in-RAM implementation.
 /// `stream.parallel` is ignored; `options.parallel` drives every kernel,
 /// as in the in-RAM call.

@@ -46,6 +46,30 @@ bool AllFinite(const linalg::Vector& v) {
   return true;
 }
 
+// Stages one enroll or probe column: applies the `point` fault keyed by
+// `key` (an injected error is returned; NaN / corrupt injections rewrite
+// the column) and screens the result for non-finite values. `what` names
+// the column in the CorruptData message.
+Status StageColumn(const char* point, std::uint64_t key, const char* what,
+                   const std::string& id, linalg::Vector* column) {
+  if (fault::Enabled()) {
+    const fault::Injection injection = fault::Hit(point, key);
+    if (injection.action == fault::Action::kError) return injection.status;
+    if (injection.action == fault::Action::kNaN) {
+      std::fill(column->begin(), column->end(),
+                std::numeric_limits<double>::quiet_NaN());
+    } else if (injection.action == fault::Action::kCorrupt) {
+      fault::ScrambleBytes(injection.seed, column->data(),
+                           column->size() * sizeof(double));
+    }
+  }
+  if (!AllFinite(*column)) {
+    return Status::CorruptData(StrFormat("%s %s has non-finite feature values",
+                                         what, id.c_str()));
+  }
+  return Status::OK();
+}
+
 // Upper bound on dot(q, member) for any member of a cluster whose
 // centroid has similarity cq to q and whose angular radius r satisfies
 // cos(r) = cos_radius: cos(max(0, angle(q, centroid) - r)), expanded
@@ -157,7 +181,8 @@ Result<IdentificationIndex> IdentificationIndex::Create(
 
   // The reference subjects become the initial gallery (same screening and
   // fault points as any later EnrollBatch).
-  NP_RETURN_IF_ERROR(index.EnrollMatrixColumns(reference, report));
+  NP_RETURN_IF_ERROR(index.EnrollColumns(
+      connectome::InMemoryMatrixStore(reference), report, 0));
   if (index.size_ < 2) {
     return Status::FailedPrecondition(
         "IdentificationIndex: fewer than 2 usable reference subjects");
@@ -178,21 +203,8 @@ Status IdentificationIndex::EnrollLocked(const std::string& subject_id,
         subject_id.c_str(), full_features.size(), full_feature_count_));
   }
   linalg::Vector column = full_features;
-  if (fault::Enabled()) {
-    const fault::Injection injection = fault::Hit("service.enroll", fault_key);
-    if (injection.action == fault::Action::kError) return injection.status;
-    if (injection.action == fault::Action::kNaN) {
-      for (double& x : column) x = std::numeric_limits<double>::quiet_NaN();
-    } else if (injection.action == fault::Action::kCorrupt) {
-      fault::ScrambleBytes(injection.seed, column.data(),
-                           column.size() * sizeof(double));
-    }
-  }
-  if (!AllFinite(column)) {
-    return Status::CorruptData(StrFormat(
-        "Enroll: subject %s has non-finite feature values",
-        subject_id.c_str()));
-  }
+  NP_RETURN_IF_ERROR(StageColumn("service.enroll", fault_key, "Enroll: subject",
+                                 subject_id, &column));
   if (Contains(subject_id)) {
     return Status::AlreadyExists(
         StrFormat("Enroll: subject %s already enrolled", subject_id.c_str()));
@@ -210,14 +222,16 @@ Status IdentificationIndex::EnrollLocked(const std::string& subject_id,
 }
 
 void IdentificationIndex::CommitEnroll(const std::string& subject_id,
-                                       linalg::Vector column) {
+                                       linalg::Vector column,
+                                       linalg::Vector fingerprint) {
   Shard& shard = shards_[ShardOf(subject_id)];
   const auto pos = std::lower_bound(
       shard.entries.begin(), shard.entries.end(), subject_id,
       [](const Entry& e, const std::string& id) { return e.id < id; });
   Entry entry;
   entry.id = subject_id;
-  entry.fingerprint = MakeFingerprint(column);
+  entry.fingerprint =
+      fingerprint.empty() ? MakeFingerprint(column) : std::move(fingerprint);
   if (options_.retain_full_columns) entry.full = std::move(column);
   shard.entries.insert(pos, std::move(entry));
   shard.clusters_dirty = true;
@@ -239,12 +253,14 @@ Status IdentificationIndex::Enroll(const std::string& subject_id,
   return MaybeCompact();
 }
 
-Status IdentificationIndex::EnrollMatrixColumns(
-    const connectome::GroupMatrix& subjects, BatchReport* report) {
+Status IdentificationIndex::EnrollColumns(
+    const connectome::MatrixStore& subjects, BatchReport* report,
+    std::size_t window_cols) {
   BatchReport local_report;
   if (report == nullptr) report = &local_report;
   report->Clear();
   const std::size_t n = subjects.num_subjects();
+  const std::vector<std::string>& ids = subjects.subject_ids();
   report->attempted = n;
   if (subjects.num_features() != full_feature_count_) {
     return Status::InvalidArgument(StrFormat(
@@ -252,49 +268,69 @@ Status IdentificationIndex::EnrollMatrixColumns(
         subjects.num_features(), full_feature_count_));
   }
 
-  // Stage every column first (screening + fault injection + fingerprint,
-  // parallel over subjects, disjoint slots), then resolve the batch and
-  // commit the survivors in index order — fail-fast therefore leaves the
-  // index untouched on any error.
-  std::vector<linalg::Vector> staged_columns(n);
+  // Stage every column first (screening + fault injection, parallel over
+  // subjects, disjoint slots), one column window at a time; then resolve
+  // the batch and commit the survivors in index order, so fail-fast
+  // leaves the index untouched on any error. The full columns the index
+  // retains — or must journal, since a write-ahead record carries the
+  // full column — stay in RAM when the store is resident; otherwise they
+  // spill to disk until the batch resolves, so at most one window of full
+  // columns is held. The commit derives fingerprints from them; when no
+  // full column is kept, staging keeps the fingerprint instead.
+  const bool keep_full = options_.retain_full_columns || journal_ != nullptr;
+  std::vector<linalg::Vector> staged_fingerprints(n);
+  std::vector<linalg::Vector> staged_full(n);
   std::vector<Status> staged_status(n, Status::OK());
+  std::optional<SpillFile> spill;
+  std::vector<std::size_t> spill_slot;
+  if (keep_full && subjects.resident() == nullptr) {
+    auto created = SpillFile::Create();
+    if (!created.ok()) return created.status();
+    spill.emplace(std::move(created).value());
+    spill_slot.assign(n, 0);
+  }
+  const std::size_t window = subjects.WindowCols(window_cols);
   const std::size_t grain = GrainForWork(full_feature_count_);
-  ParallelFor(options_.parallel, 0, n, grain,
-              [&](std::size_t lo, std::size_t hi) {
-                for (std::size_t j = lo; j < hi; ++j) {
-                  linalg::Vector column = subjects.SubjectColumn(j);
-                  if (fault::Enabled()) {
-                    const fault::Injection injection =
-                        fault::Hit("service.enroll", j);
-                    if (injection.action == fault::Action::kError) {
-                      staged_status[j] = injection.status;
-                      continue;
+  linalg::Matrix slab;
+  for (std::size_t c0 = 0; c0 < n; c0 += window) {
+    const std::size_t count = std::min(window, n - c0);
+    const linalg::Matrix* view = nullptr;
+    NP_ASSIGN_OR_RETURN(view, subjects.ViewColumns(c0, count, &slab));
+    ParallelFor(options_.parallel, 0, count, grain,
+                [&](std::size_t lo, std::size_t hi) {
+                  for (std::size_t c = lo; c < hi; ++c) {
+                    const std::size_t j = c0 + c;
+                    linalg::Vector column(full_feature_count_);
+                    for (std::size_t i = 0; i < full_feature_count_; ++i) {
+                      column[i] = (*view)(i, c);
                     }
-                    if (injection.action == fault::Action::kNaN) {
-                      for (double& x : column) {
-                        x = std::numeric_limits<double>::quiet_NaN();
-                      }
-                    } else if (injection.action == fault::Action::kCorrupt) {
-                      fault::ScrambleBytes(injection.seed, column.data(),
-                                           column.size() * sizeof(double));
+                    staged_status[j] = StageColumn("service.enroll", j,
+                                                   "subject", ids[j], &column);
+                    if (!staged_status[j].ok()) continue;
+                    if (keep_full) {
+                      staged_full[j] = std::move(column);
+                    } else {
+                      staged_fingerprints[j] = MakeFingerprint(column);
                     }
                   }
-                  if (!AllFinite(column)) {
-                    staged_status[j] = Status::CorruptData(StrFormat(
-                        "subject %s has non-finite feature values",
-                        subjects.subject_ids()[j].c_str()));
-                    continue;
-                  }
-                  staged_columns[j] = std::move(column);
-                }
-              });
+                });
+    if (spill.has_value()) {
+      for (std::size_t j = c0; j < c0 + count; ++j) {
+        if (!staged_status[j].ok()) continue;
+        spill_slot[j] = spill->num_columns();
+        NP_RETURN_IF_ERROR(
+            spill->AppendColumn(staged_full[j].data(), staged_full[j].size()));
+        staged_full[j] = linalg::Vector();
+      }
+    }
+  }
 
   // Serial pass: duplicate detection (against the index and within the
   // batch, in batch order) and report assembly.
   std::vector<std::size_t> survivors;
   survivors.reserve(n);
   for (std::size_t j = 0; j < n; ++j) {
-    const std::string& id = subjects.subject_ids()[j];
+    const std::string& id = ids[j];
     Status status = staged_status[j];
     if (status.ok() && Contains(id)) {
       status = Status::AlreadyExists(
@@ -302,7 +338,7 @@ Status IdentificationIndex::EnrollMatrixColumns(
     }
     if (status.ok()) {
       for (std::size_t k : survivors) {
-        if (subjects.subject_ids()[k] == id) {
+        if (ids[k] == id) {
           status = Status::AlreadyExists(StrFormat(
               "subject %s duplicated within the batch", id.c_str()));
           break;
@@ -325,36 +361,33 @@ Status IdentificationIndex::EnrollMatrixColumns(
     metrics::Count("batch.subjects_skipped", report->failed.size());
   }
 
+  // Read the surviving spilled columns back before touching any shard, so
+  // a spill failure (file deleted mid-batch, injected `io.spill` fault)
+  // propagates with the index bit-unchanged — no rollback needed.
+  if (spill.has_value()) {
+    for (std::size_t j : survivors) {
+      NP_RETURN_IF_ERROR(spill->ReadColumn(spill_slot[j], &staged_full[j]));
+    }
+  }
+
   // Write-ahead: one journal record covers the whole surviving batch, so
   // across a crash the batch commits all-or-nothing, exactly like the
-  // in-memory commit loop below. A journal error (nothing reached disk)
-  // fails the call with the index bit-unchanged.
+  // in-memory commit loop below. The journaled columns are the bytes the
+  // commit loop enrolls. A journal error (nothing reached disk) fails the
+  // call with the index bit-unchanged.
   if (journal_ != nullptr && !survivors.empty()) {
     std::vector<PendingEnroll> pending(survivors.size());
     for (std::size_t s = 0; s < survivors.size(); ++s) {
-      pending[s].id = &subjects.subject_ids()[survivors[s]];
-      pending[s].column = &staged_columns[survivors[s]];
+      pending[s].id = &ids[survivors[s]];
+      pending[s].column = &staged_full[survivors[s]];
     }
     NP_RETURN_IF_ERROR(JournalEnrolls(pending));
   }
 
   // Commit phase: nothing below can fail.
   for (std::size_t j : survivors) {
-    const std::string& id = subjects.subject_ids()[j];
-    Shard& shard = shards_[ShardOf(id)];
-    const auto pos = std::lower_bound(
-        shard.entries.begin(), shard.entries.end(), id,
-        [](const Entry& e, const std::string& want) { return e.id < want; });
-    Entry entry;
-    entry.id = id;
-    entry.fingerprint = MakeFingerprint(staged_columns[j]);
-    if (options_.retain_full_columns) {
-      entry.full = std::move(staged_columns[j]);
-    }
-    shard.entries.insert(pos, std::move(entry));
-    shard.clusters_dirty = true;
-    ++size_;
-    NoteMutation();
+    CommitEnroll(ids[j], std::move(staged_full[j]),
+                 std::move(staged_fingerprints[j]));
   }
   metrics::Count("service.enrolls", survivors.size());
   metrics::SetGauge("service.gallery_size", static_cast<double>(size_));
@@ -363,13 +396,7 @@ Status IdentificationIndex::EnrollMatrixColumns(
 
 Status IdentificationIndex::EnrollBatch(const connectome::GroupMatrix& subjects,
                                         BatchReport* report) {
-  trace::ScopedEnable trace_enable(options_.trace.enabled);
-  fault::ScopedSchedule fault_schedule(options_.fault.schedule);
-  NP_RETURN_IF_ERROR(fault_schedule.status());
-  NP_TRACE_SCOPE("service.enroll_batch");
-  NP_RETURN_IF_ERROR(EnrollMatrixColumns(subjects, report));
-  NP_RETURN_IF_ERROR(MaybeAutoRefresh());
-  return MaybeCompact();
+  return EnrollStream(connectome::InMemoryMatrixStore(subjects), report);
 }
 
 Status IdentificationIndex::EnrollStream(const connectome::MatrixStore& subjects,
@@ -379,171 +406,7 @@ Status IdentificationIndex::EnrollStream(const connectome::MatrixStore& subjects
   fault::ScopedSchedule fault_schedule(options_.fault.schedule);
   NP_RETURN_IF_ERROR(fault_schedule.status());
   NP_TRACE_SCOPE("service.enroll_stream");
-
-  BatchReport local_report;
-  if (report == nullptr) report = &local_report;
-  report->Clear();
-  const std::size_t n = subjects.num_subjects();
-  report->attempted = n;
-  if (subjects.num_features() != full_feature_count_) {
-    return Status::InvalidArgument(StrFormat(
-        "EnrollBatch: subjects have %zu features, index holds %zu",
-        subjects.num_features(), full_feature_count_));
-  }
-
-  // Staging in column windows: at most one window of full columns is
-  // resident at a time. Fingerprints are small and stay in RAM; the full
-  // columns the index retains — or must journal, since a write-ahead
-  // record carries the full column — spill to disk until the batch
-  // resolves, so the EnrollMatrixColumns invariant holds unchanged —
-  // nothing touches a shard until every subject has been screened and
-  // the policy resolved.
-  std::vector<linalg::Vector> staged_fingerprints(n);
-  std::vector<Status> staged_status(n, Status::OK());
-  std::optional<SpillFile> spill;
-  std::vector<std::size_t> spill_slot;
-  if (options_.retain_full_columns || journal_ != nullptr) {
-    auto created = SpillFile::Create();
-    if (!created.ok()) return created.status();
-    spill.emplace(std::move(created).value());
-    spill_slot.assign(n, 0);
-  }
-  const std::size_t window =
-      connectome::DeriveWindowCols(full_feature_count_, n, window_cols);
-  const std::size_t grain = GrainForWork(full_feature_count_);
-  linalg::Matrix slab;
-  for (std::size_t c0 = 0; c0 < n; c0 += window) {
-    const std::size_t count = std::min(window, n - c0);
-    NP_RETURN_IF_ERROR(subjects.ReadColumns(c0, count, &slab));
-    std::vector<linalg::Vector> columns(count);
-    ParallelFor(options_.parallel, 0, count, grain,
-                [&](std::size_t lo, std::size_t hi) {
-                  for (std::size_t c = lo; c < hi; ++c) {
-                    const std::size_t j = c0 + c;
-                    linalg::Vector column(full_feature_count_);
-                    for (std::size_t i = 0; i < full_feature_count_; ++i) {
-                      column[i] = slab(i, c);
-                    }
-                    if (fault::Enabled()) {
-                      const fault::Injection injection =
-                          fault::Hit("service.enroll", j);
-                      if (injection.action == fault::Action::kError) {
-                        staged_status[j] = injection.status;
-                        continue;
-                      }
-                      if (injection.action == fault::Action::kNaN) {
-                        for (double& x : column) {
-                          x = std::numeric_limits<double>::quiet_NaN();
-                        }
-                      } else if (injection.action == fault::Action::kCorrupt) {
-                        fault::ScrambleBytes(injection.seed, column.data(),
-                                             column.size() * sizeof(double));
-                      }
-                    }
-                    if (!AllFinite(column)) {
-                      staged_status[j] = Status::CorruptData(StrFormat(
-                          "subject %s has non-finite feature values",
-                          subjects.subject_ids()[j].c_str()));
-                      continue;
-                    }
-                    staged_fingerprints[j] = MakeFingerprint(column);
-                    if (spill.has_value()) columns[c] = std::move(column);
-                  }
-                });
-    if (spill.has_value()) {
-      for (std::size_t c = 0; c < count; ++c) {
-        const std::size_t j = c0 + c;
-        if (!staged_status[j].ok()) continue;
-        spill_slot[j] = spill->num_columns();
-        NP_RETURN_IF_ERROR(
-            spill->AppendColumn(columns[c].data(), columns[c].size()));
-      }
-    }
-  }
-
-  // Serial pass: duplicate detection (against the index and within the
-  // batch, in batch order) and report assembly — byte-for-byte the
-  // EnrollMatrixColumns screen.
-  std::vector<std::size_t> survivors;
-  survivors.reserve(n);
-  for (std::size_t j = 0; j < n; ++j) {
-    const std::string& id = subjects.subject_ids()[j];
-    Status status = staged_status[j];
-    if (status.ok() && Contains(id)) {
-      status = Status::AlreadyExists(
-          StrFormat("subject %s already enrolled", id.c_str()));
-    }
-    if (status.ok()) {
-      for (std::size_t k : survivors) {
-        if (subjects.subject_ids()[k] == id) {
-          status = Status::AlreadyExists(StrFormat(
-              "subject %s duplicated within the batch", id.c_str()));
-          break;
-        }
-      }
-    }
-    if (status.ok()) {
-      survivors.push_back(j);
-      continue;
-    }
-    BatchItemReport item;
-    item.index = j;
-    item.id = id;
-    item.stage = "enroll_screen";
-    item.status = std::move(status);
-    report->failed.push_back(std::move(item));
-  }
-  NP_RETURN_IF_ERROR(ResolveBatch(options_.failure_policy, *report));
-  if (!report->failed.empty()) {
-    metrics::Count("batch.subjects_skipped", report->failed.size());
-  }
-
-  // Read the surviving full columns back before touching any shard, so a
-  // spill failure (file deleted mid-batch, injected `io.spill` fault)
-  // propagates with the index bit-unchanged — no rollback needed.
-  std::vector<linalg::Vector> staged_full(survivors.size());
-  if (spill.has_value()) {
-    std::vector<double> buffer;
-    for (std::size_t s = 0; s < survivors.size(); ++s) {
-      NP_RETURN_IF_ERROR(spill->ReadColumn(spill_slot[survivors[s]], &buffer));
-      staged_full[s] = std::move(buffer);
-      buffer.clear();
-    }
-  }
-
-  // Write-ahead: the surviving batch as one record (see
-  // EnrollMatrixColumns); the journaled columns are the spill read-backs
-  // above, which are the bytes the commit loop enrolls.
-  if (journal_ != nullptr && !survivors.empty()) {
-    std::vector<PendingEnroll> pending(survivors.size());
-    for (std::size_t s = 0; s < survivors.size(); ++s) {
-      pending[s].id = &subjects.subject_ids()[survivors[s]];
-      pending[s].column = &staged_full[s];
-    }
-    NP_RETURN_IF_ERROR(JournalEnrolls(pending));
-  }
-
-  // Commit phase: nothing below can fail.
-  for (std::size_t s = 0; s < survivors.size(); ++s) {
-    const std::size_t j = survivors[s];
-    const std::string& id = subjects.subject_ids()[j];
-    Shard& shard = shards_[ShardOf(id)];
-    const auto pos = std::lower_bound(
-        shard.entries.begin(), shard.entries.end(), id,
-        [](const Entry& e, const std::string& want) { return e.id < want; });
-    Entry entry;
-    entry.id = id;
-    entry.fingerprint = std::move(staged_fingerprints[j]);
-    if (options_.retain_full_columns) {
-      entry.full = std::move(staged_full[s]);
-    }
-    shard.entries.insert(pos, std::move(entry));
-    shard.clusters_dirty = true;
-    ++size_;
-    NoteMutation();
-  }
-  metrics::Count("service.enrolls", survivors.size());
-  metrics::SetGauge("service.gallery_size", static_cast<double>(size_));
+  NP_RETURN_IF_ERROR(EnrollColumns(subjects, report, window_cols));
   NP_RETURN_IF_ERROR(MaybeAutoRefresh());
   return MaybeCompact();
 }
@@ -1001,28 +864,10 @@ Result<BatchIdentifyResult> IdentificationIndex::IdentifyBatchImpl(
               [&](std::size_t lo, std::size_t hi) {
                 for (std::size_t j = lo; j < hi; ++j) {
                   linalg::Vector column = probes.SubjectColumn(j);
-                  if (fault::Enabled()) {
-                    const fault::Injection injection =
-                        fault::Hit("service.probe", j);
-                    if (injection.action == fault::Action::kError) {
-                      probe_status[j] = injection.status;
-                      continue;
-                    }
-                    if (injection.action == fault::Action::kNaN) {
-                      for (double& x : column) {
-                        x = std::numeric_limits<double>::quiet_NaN();
-                      }
-                    } else if (injection.action == fault::Action::kCorrupt) {
-                      fault::ScrambleBytes(injection.seed, column.data(),
-                                           column.size() * sizeof(double));
-                    }
-                  }
-                  if (!AllFinite(column)) {
-                    probe_status[j] = Status::CorruptData(StrFormat(
-                        "probe %s has non-finite feature values",
-                        probes.subject_ids()[j].c_str()));
-                    continue;
-                  }
+                  probe_status[j] =
+                      StageColumn("service.probe", j, "probe",
+                                  probes.subject_ids()[j], &column);
+                  if (!probe_status[j].ok()) continue;
                   fingerprints[j] = MakeFingerprint(column);
                 }
               });

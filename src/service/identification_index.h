@@ -67,6 +67,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "connectome/group_matrix.h"
@@ -246,23 +247,24 @@ class IdentificationIndex {
   Status Enroll(const std::string& subject_id,
                 const linalg::Vector& full_features);
 
-  /// Enrolls every subject of `subjects` under the index failure policy.
-  /// Fail-fast leaves the index untouched on any error; skip-and-report /
-  /// quorum commit the survivors (stage "enroll_screen" / "enroll" in
-  /// `report`, which may be null).
+  /// Enrolls every subject of `subjects`: an adapter that runs
+  /// EnrollStream over an InMemoryMatrixStore.
   Status EnrollBatch(const connectome::GroupMatrix& subjects,
                      BatchReport* report = nullptr);
 
-  /// Out-of-core EnrollBatch: pulls subject columns from `subjects` in
-  /// windows of `window_cols` (0 derives a width from the memory budget,
-  /// see connectome::DeriveWindowCols), so peak RSS is one window of full
-  /// columns plus the fingerprints instead of the whole cohort. When the
-  /// index retains full columns they spill to disk (util/spill.h) during
-  /// staging and are read back only at commit. Index state, report
-  /// contents, and failure semantics are identical to EnrollBatch over
-  /// the materialized store at any window size; a store or spill I/O
-  /// failure (including the `io.stream` / `io.spill` fault points) fails
-  /// the call with the index bit-unchanged.
+  /// Enrolls every subject of `subjects` under the index failure policy.
+  /// Fail-fast leaves the index untouched on any error; skip-and-report /
+  /// quorum commit the survivors (stage "enroll_screen" in `report`,
+  /// which may be null). Subject columns are pulled in windows of
+  /// `window_cols` (0 derives a width from the memory budget, see
+  /// connectome::DeriveWindowCols; a resident store is then one window
+  /// read in place). When the index retains full columns or journals, the
+  /// full columns of a store that is not resident spill to disk
+  /// (util/spill.h) during staging and are read back only at commit, so
+  /// peak RSS is one window of full columns plus the fingerprints. Index
+  /// state and report contents are identical at any window size; a store
+  /// or spill I/O failure (including the `io.stream` / `io.spill` fault
+  /// points) fails the call with the index bit-unchanged.
   Status EnrollStream(const connectome::MatrixStore& subjects,
                       BatchReport* report = nullptr,
                       std::size_t window_cols = 0);
@@ -335,6 +337,18 @@ class IdentificationIndex {
     linalg::Vector fingerprint;
     /// Retained full feature column (empty unless retain_full_columns).
     linalg::Vector full;
+
+    Entry() = default;
+    Entry(Entry&&) noexcept = default;
+    /// Swaps the vectors instead of releasing the target's buffers: the
+    /// shift loops of a mid-shard insert or erase then move pointers only,
+    /// whatever the compiler decides to inline into them.
+    Entry& operator=(Entry&& other) noexcept {
+      id = std::move(other.id);
+      fingerprint.swap(other.fingerprint);
+      full.swap(other.full);
+      return *this;
+    }
   };
   struct Cluster {
     linalg::Vector centroid;          ///< Unit norm (or zero).
@@ -373,8 +387,10 @@ class IdentificationIndex {
                       const linalg::Vector& full_features,
                       std::uint64_t fault_key);
   /// Inserts a screened subject into its shard — the commit half of
-  /// every enroll path; cannot fail.
-  void CommitEnroll(const std::string& subject_id, linalg::Vector column);
+  /// every enroll path; cannot fail. An empty `fingerprint` is derived
+  /// from `column`.
+  void CommitEnroll(const std::string& subject_id, linalg::Vector column,
+                    linalg::Vector fingerprint = {});
   /// Write-ahead journals a batch of staged enrolls as ONE record (no-op
   /// when not durable). An error means nothing reached the disk and no
   /// shard may be touched.
@@ -388,8 +404,11 @@ class IdentificationIndex {
   /// Checkpoint() when the journal has outgrown the compaction trigger.
   Status MaybeCompact();
   Result<std::vector<std::uint8_t>> SerializeSnapshot() const;
-  Status EnrollMatrixColumns(const connectome::GroupMatrix& subjects,
-                             BatchReport* report);
+  /// The staged enroll behind Create, EnrollBatch and EnrollStream:
+  /// screens every column of `subjects` (in windows of `window_cols`),
+  /// resolves the batch, journals the survivors, then commits them.
+  Status EnrollColumns(const connectome::MatrixStore& subjects,
+                       BatchReport* report, std::size_t window_cols);
   linalg::Vector MakeFingerprint(const linalg::Vector& full_features) const;
   void RebuildDirtyClusters();
   void RebuildShardClusters(std::size_t shard_index);

@@ -22,6 +22,7 @@
 
 #include <gtest/gtest.h>
 
+#include "connectome/group_matrix_io.h"
 #include "connectome/matrix_store.h"
 #include "service/identification_index.h"
 #include "service/synthetic_gallery.h"
@@ -322,10 +323,12 @@ TEST(DurabilityTest, SnapshotRoundTripIsBitIdentical) {
 }
 
 // The satellite grid: EnrollStream at several window sizes and thread
-// counts, a torn-write crash in the middle, recovery, and then full
-// DebugStateString + IdentifyBatch parity against a never-persisted
-// replica — streaming, persistence, and parallelism must all be
-// invisible in the final state.
+// counts, over a resident and a file-backed store, a torn-write crash in
+// the middle, recovery, and then full DebugStateString + IdentifyBatch
+// parity against a never-persisted replica — streaming, persistence, and
+// parallelism must all be invisible in the final state. The file-backed
+// store stages through the spill file, so its journal records are built
+// from spill read-backs.
 TEST(DurabilityTest, StreamCrashRecoveryParityAcrossWindowsAndThreads) {
   SyntheticGalleryConfig gallery;
   gallery.num_subjects = 40;
@@ -353,57 +356,69 @@ TEST(DurabilityTest, StreamCrashRecoveryParityAcrossWindowsAndThreads) {
   auto want = clean->IdentifyBatch(*probes);
   ASSERT_TRUE(want.ok()) << want.status();
 
+  const std::string npgm_path =
+      ::testing::TempDir() + "/durability_grid_streamed.npgm";
+  ASSERT_TRUE(connectome::WriteGroupMatrix(npgm_path, *streamed).ok());
+  auto file_store = connectome::FileMatrixStore::Open(npgm_path);
+  ASSERT_TRUE(file_store.ok()) << file_store.status();
+  const connectome::InMemoryMatrixStore ram_store(*streamed);
+
   for (std::size_t window : {std::size_t{1}, std::size_t{3}, std::size_t{17}}) {
     for (std::size_t threads :
          {std::size_t{1}, std::size_t{2}, std::size_t{8}}) {
-      SCOPED_TRACE(StrFormat("window=%zu threads=%zu", window, threads));
-      IndexOptions options = base_options;
-      options.parallel.num_threads = threads;
-      DurabilityOptions durability;
-      durability.data_dir =
-          FreshDir(StrFormat("durability_grid_%zu_%zu", window, threads));
-      {
-        auto index =
-            IdentificationIndex::CreateDurable(*reference, durability, options);
-        ASSERT_TRUE(index.ok()) << index.status();
-        const connectome::InMemoryMatrixStore store(*streamed);
-        ASSERT_TRUE(index->EnrollStream(store, nullptr, window).ok());
-        // Tear the next mutation's journal append after 7 bytes — less
-        // than the record header — and let the "process" die.
-        fault::ScopedSchedule schedule("io.journal@1=torn:7");
-        ASSERT_TRUE(schedule.status().ok());
-        fault::ResetHitCounters();
-        EXPECT_EQ(index
-                      ->Enroll(full->subject_ids()[36],
-                               full->SubjectColumn(36))
-                      .code(),
-                  StatusCode::kIOError);
-      }
-      auto recovered = IdentificationIndex::OpenDurable(durability, options);
-      ASSERT_TRUE(recovered.ok()) << recovered.status();
-      EXPECT_EQ(recovered->size(), 36u);
-      EXPECT_FALSE(recovered->Contains(full->subject_ids()[36]));
-      // Finish the interrupted work, compact, and reopen once more.
-      ASSERT_TRUE(
-          recovered->Enroll(full->subject_ids()[36], full->SubjectColumn(36))
-              .ok());
-      ASSERT_TRUE(recovered->Checkpoint().ok());
-      EXPECT_EQ(recovered->journal_size_bytes(), 0u);
-      auto reopened = IdentificationIndex::OpenDurable(durability, options);
-      ASSERT_TRUE(reopened.ok()) << reopened.status();
+      for (const bool file_backed : {false, true}) {
+        SCOPED_TRACE(StrFormat("window=%zu threads=%zu file_backed=%d", window,
+                               threads, file_backed ? 1 : 0));
+        IndexOptions options = base_options;
+        options.parallel.num_threads = threads;
+        DurabilityOptions durability;
+        durability.data_dir =
+            FreshDir(StrFormat("durability_grid_%zu_%zu_%d", window, threads,
+                               file_backed ? 1 : 0));
+        const connectome::MatrixStore* store = &ram_store;
+        if (file_backed) store = file_store->get();
+        {
+          auto index = IdentificationIndex::CreateDurable(*reference,
+                                                          durability, options);
+          ASSERT_TRUE(index.ok()) << index.status();
+          ASSERT_TRUE(index->EnrollStream(*store, nullptr, window).ok());
+          // Tear the next mutation's journal append after 7 bytes — less
+          // than the record header — and let the "process" die.
+          fault::ScopedSchedule schedule("io.journal@1=torn:7");
+          ASSERT_TRUE(schedule.status().ok());
+          fault::ResetHitCounters();
+          EXPECT_EQ(index
+                        ->Enroll(full->subject_ids()[36],
+                                 full->SubjectColumn(36))
+                        .code(),
+                    StatusCode::kIOError);
+        }
+        auto recovered = IdentificationIndex::OpenDurable(durability, options);
+        ASSERT_TRUE(recovered.ok()) << recovered.status();
+        EXPECT_EQ(recovered->size(), 36u);
+        EXPECT_FALSE(recovered->Contains(full->subject_ids()[36]));
+        // Finish the interrupted work, compact, and reopen once more.
+        ASSERT_TRUE(
+            recovered->Enroll(full->subject_ids()[36], full->SubjectColumn(36))
+                .ok());
+        ASSERT_TRUE(recovered->Checkpoint().ok());
+        EXPECT_EQ(recovered->journal_size_bytes(), 0u);
+        auto reopened = IdentificationIndex::OpenDurable(durability, options);
+        ASSERT_TRUE(reopened.ok()) << reopened.status();
 
-      EXPECT_EQ(reopened->DebugStateString(), want_state);
-      auto got = reopened->IdentifyBatch(*probes);
-      ASSERT_TRUE(got.ok()) << got.status();
-      ASSERT_EQ(got->matches.size(), want->matches.size());
-      for (std::size_t p = 0; p < got->matches.size(); ++p) {
-        EXPECT_EQ(got->matches[p].subject_id, want->matches[p].subject_id);
-        EXPECT_EQ(got->matches[p].similarity, want->matches[p].similarity);
-        EXPECT_EQ(got->matches[p].margin, want->matches[p].margin);
-        EXPECT_EQ(got->matches[p].candidates_scanned,
-                  want->matches[p].candidates_scanned);
+        EXPECT_EQ(reopened->DebugStateString(), want_state);
+        auto got = reopened->IdentifyBatch(*probes);
+        ASSERT_TRUE(got.ok()) << got.status();
+        ASSERT_EQ(got->matches.size(), want->matches.size());
+        for (std::size_t p = 0; p < got->matches.size(); ++p) {
+          EXPECT_EQ(got->matches[p].subject_id, want->matches[p].subject_id);
+          EXPECT_EQ(got->matches[p].similarity, want->matches[p].similarity);
+          EXPECT_EQ(got->matches[p].margin, want->matches[p].margin);
+          EXPECT_EQ(got->matches[p].candidates_scanned,
+                    want->matches[p].candidates_scanned);
+        }
+        EXPECT_EQ(got->accuracy, want->accuracy);
       }
-      EXPECT_EQ(got->accuracy, want->accuracy);
     }
   }
 }

@@ -589,7 +589,13 @@ TEST(FaultInjectionOutOfCoreTest, SpillWriteFailureLeavesIndexUntouched) {
   ASSERT_TRUE(index.ok()) << index.status();
   const std::string before = index->DebugStateString();
 
-  const connectome::InMemoryMatrixStore store(*tail);
+  // A resident store stages in RAM and never spills; a file-backed store
+  // over the same columns does.
+  const std::string path = OutOfCoreTempPath("fault_spill_write.npgm");
+  ASSERT_TRUE(connectome::WriteGroupMatrix(path, *tail).ok());
+  auto file_store = connectome::FileMatrixStore::Open(path);
+  ASSERT_TRUE(file_store.ok()) << file_store.status();
+  const connectome::MatrixStore& store = **file_store;
   {
     fault::ScopedSchedule schedule(
         "io.spill#1=error:IOError:spill device full (injected)");
@@ -615,7 +621,11 @@ TEST(FaultInjectionOutOfCoreTest, SpillReadBackFailureLeavesIndexUntouched) {
   ASSERT_TRUE(index.ok()) << index.status();
   const std::string before = index->DebugStateString();
 
-  const connectome::InMemoryMatrixStore store(*tail);
+  const std::string path = OutOfCoreTempPath("fault_spill_read_back.npgm");
+  ASSERT_TRUE(connectome::WriteGroupMatrix(path, *tail).ok());
+  auto file_store = connectome::FileMatrixStore::Open(path);
+  ASSERT_TRUE(file_store.ok()) << file_store.status();
+  const connectome::MatrixStore& store = **file_store;
   {
     fault::ScopedSchedule schedule(
         "io.spill#3@2=error:IOError:spill file vanished (injected)");

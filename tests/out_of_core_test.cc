@@ -1,7 +1,8 @@
-// The out-of-core tier (ctest -L out-of-core): streamed kernels and
-// batch paths must be bitwise-identical to their in-RAM counterparts at
-// every window size and thread count (the window determinism contract of
-// connectome/matrix_store.h), and the spill / file-backed stores must
+// The out-of-core tier (ctest -L out-of-core): the store-backed kernels
+// and batch paths must give the same bits at every window size and thread
+// count as their GroupMatrix adapters (the window determinism contract of
+// connectome/matrix_store.h), a resident store must be read in place
+// unless a window is asked for, and the spill / file-backed stores must
 // round-trip bit-exactly and fail cleanly when their files disappear.
 
 #include <cstdio>
@@ -87,6 +88,33 @@ void ExpectSameReport(const BatchReport& a, const BatchReport& b) {
     EXPECT_EQ(a.degraded[i].degradations, b.degraded[i].degradations);
   }
 }
+
+// A resident store that counts its tile reads: the store-backed paths must
+// read its matrix in place (zero reads) unless asked for explicit windows.
+class CountingResidentStore final : public connectome::MatrixStore {
+ public:
+  explicit CountingResidentStore(const connectome::GroupMatrix& group)
+      : group_(&group) {}
+
+  std::size_t num_features() const override { return group_->num_features(); }
+  std::size_t num_subjects() const override { return group_->num_subjects(); }
+  const std::vector<std::string>& subject_ids() const override {
+    return group_->subject_ids();
+  }
+  const linalg::Matrix* resident() const override { return &group_->data(); }
+  Status ReadTile(std::size_t row0, std::size_t row_count, std::size_t col0,
+                  std::size_t col_count, linalg::Matrix* out) const override {
+    ++reads_;
+    *out = group_->data().Block(row0, col0, row_count, col_count);
+    return Status::OK();
+  }
+
+  std::size_t reads() const { return reads_; }
+
+ private:
+  const connectome::GroupMatrix* group_;
+  mutable std::size_t reads_ = 0;
+};
 
 // --- Spill file lifecycle ---------------------------------------------------
 
@@ -364,6 +392,60 @@ TEST_F(StreamedAttackTest, ScreeningReportsMatchUnderSkipAndReport) {
   EXPECT_EQ(result->accuracy, oracle_result->accuracy);
 }
 
+TEST_F(StreamedAttackTest, ResidentStoreIsReadInPlaceUnlessWindowed) {
+  core::AttackOptions options;
+  options.num_features = 24;
+  const auto known_file = OpenFileStore(known_, "ooc_resident_known.npgm");
+  const auto anon_file = OpenFileStore(anonymous_, "ooc_resident_anon.npgm");
+  const auto want_attack =
+      core::DeanonymizationAttack::FitStreamed(*known_file, options);
+  ASSERT_TRUE(want_attack.ok()) << want_attack.status();
+  const auto want_result = want_attack->IdentifyStreamed(*anon_file);
+  ASSERT_TRUE(want_result.ok()) << want_result.status();
+  const auto want_scores = core::ComputeLeverageScoresStreamed(*known_file);
+  ASSERT_TRUE(want_scores.ok()) << want_scores.status();
+
+  for (const std::size_t window : {std::size_t{0}, std::size_t{3}}) {
+    SCOPED_TRACE("window " + std::to_string(window));
+    connectome::StreamOptions stream;
+    stream.window_cols = window;
+    const CountingResidentStore known(known_);
+    const CountingResidentStore anonymous(anonymous_);
+    const auto attack =
+        core::DeanonymizationAttack::FitStreamed(known, options, stream);
+    ASSERT_TRUE(attack.ok()) << attack.status();
+    const auto result = attack->IdentifyStreamed(anonymous, stream);
+    ASSERT_TRUE(result.ok()) << result.status();
+    const CountingResidentStore leverage_store(known_);
+    const auto scores =
+        core::ComputeLeverageScoresStreamed(leverage_store, {}, stream);
+    ASSERT_TRUE(scores.ok()) << scores.status();
+    if (window == 0) {
+      EXPECT_EQ(known.reads(), 0u);
+      EXPECT_EQ(anonymous.reads(), 0u);
+      EXPECT_EQ(leverage_store.reads(), 0u);
+    } else {
+      EXPECT_GT(known.reads(), 0u);
+      EXPECT_GT(anonymous.reads(), 0u);
+      EXPECT_GT(leverage_store.reads(), 0u);
+    }
+
+    EXPECT_EQ(attack->selected_features(), want_attack->selected_features());
+    ASSERT_EQ(attack->leverage_scores().size(),
+              want_attack->leverage_scores().size());
+    for (std::size_t i = 0; i < want_scores->size(); ++i) {
+      ASSERT_EQ(attack->leverage_scores()[i],
+                want_attack->leverage_scores()[i])
+          << "row " << i;
+      ASSERT_EQ((*scores)[i], (*want_scores)[i]) << "row " << i;
+    }
+    ExpectBitIdentical(result->similarity, want_result->similarity,
+                       "similarity");
+    EXPECT_EQ(result->predicted_ids, want_result->predicted_ids);
+    EXPECT_EQ(result->accuracy, want_result->accuracy);
+  }
+}
+
 // --- Service enrollment parity ----------------------------------------------
 
 class EnrollStreamTest : public ::testing::Test {
@@ -458,6 +540,28 @@ TEST_F(EnrollStreamTest, DimensionMismatchAndFailFastLeaveIndexUntouched) {
   const connectome::InMemoryMatrixStore bad_store(bad);
   EXPECT_EQ(index->EnrollStream(bad_store).code(), StatusCode::kCorruptData);
   EXPECT_EQ(index->DebugStateString(), before);
+}
+
+TEST_F(EnrollStreamTest, ResidentStoreIsReadInPlaceUnlessWindowed) {
+  auto want = service::IdentificationIndex::Create(reference_,
+                                                   IndexOptionsFor(true));
+  ASSERT_TRUE(want.ok()) << want.status();
+  const auto file_store = OpenFileStore(batch_, "ooc_enroll_resident.npgm");
+  ASSERT_TRUE(want->EnrollStream(*file_store).ok());
+  for (const std::size_t window : {std::size_t{0}, std::size_t{3}}) {
+    auto index = service::IdentificationIndex::Create(reference_,
+                                                      IndexOptionsFor(true));
+    ASSERT_TRUE(index.ok()) << index.status();
+    const CountingResidentStore store(batch_);
+    ASSERT_TRUE(index->EnrollStream(store, nullptr, window).ok());
+    if (window == 0) {
+      EXPECT_EQ(store.reads(), 0u);
+    } else {
+      EXPECT_GT(store.reads(), 0u);
+    }
+    EXPECT_EQ(index->DebugStateString(), want->DebugStateString())
+        << "window " << window;
+  }
 }
 
 // --- Bounded pipeline batches -----------------------------------------------
