@@ -8,7 +8,8 @@
 // speedup-vs-1-thread table for the two gemm-bound kernels before the
 // microbenchmark suite runs. Before that, comparison tables quantify this
 // repo's kernel work: the tiled GEMM micro-kernels against the pre-tiling
-// naive triple loops (kept here as baselines), sketched leverage scoring
+// naive triple loops (kept here as baselines), the fused leverage
+// projection against MatMul plus a row-norm pass, sketched leverage scoring
 // against the exact decomposition paths, the dispatched SIMD kernels
 // against the scalar reference table (per-ISA, with a bitwise-equality
 // assertion), and the blocked bidiagonalization against the serial
@@ -19,6 +20,7 @@
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <cstring>
 #include <string>
 #include <vector>
 
@@ -28,6 +30,7 @@
 #include "core/matcher.h"
 #include "core/row_sampling.h"
 #include "core/tsne.h"
+#include "linalg/gemm_kernel.h"
 #include "linalg/matrix.h"
 #include "linalg/simd/simd.h"
 #include "linalg/stats.h"
@@ -324,6 +327,26 @@ void ReportKernelComparisons(bench::JsonReporter* json) {
     emit("matmul", "pre-tiling loops", naive_m, clock.ElapsedSeconds(), -1.0);
     benchmark::DoNotOptimize(naive_mm);
     benchmark::DoNotOptimize(tiled_mm);
+
+    // The leverage projection: U = A C materialized and folded into squared
+    // row norms, against the fused kernel that never forms U. Same bits.
+    clock.Restart();
+    const linalg::Matrix u = linalg::MatMul(a, c);
+    linalg::Vector unfused(rows);
+    for (std::size_t i = 0; i < rows; ++i) {
+      double sum = 0.0;
+      for (std::size_t j = 0; j < cols; ++j) sum += u(i, j) * u(i, j);
+      unfused[i] = sum;
+    }
+    const double unfused_sec = clock.ElapsedSeconds();
+    linalg::Vector fused(rows);
+    clock.Restart();
+    linalg::ProjectedRowSquaredNorms(a, c, fused.data());
+    emit("leverage_projection", "MatMul + row norms", unfused_sec,
+         clock.ElapsedSeconds(), -1.0);
+    NP_CHECK(std::memcmp(unfused.data(), fused.data(),
+                         rows * sizeof(double)) == 0)
+        << "fused projection differs from MatMul + row norms";
   }
   {
     const linalg::Matrix a = PlantedGroupMatrix(rows, cols, 150, 41);

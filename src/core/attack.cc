@@ -6,18 +6,28 @@
 
 #include "util/metrics.h"
 #include "util/string_util.h"
+#include "util/thread_pool.h"
+#include "util/trace.h"
 
 namespace neuroprint::core {
 namespace {
+
+// Rows per screen chunk (~1.6 MB of a 100-column window). The chunks'
+// flags are OR-ed, so the split never shows in the result.
+constexpr std::size_t kScreenRowChunk = 2048;
 
 // Screens a store for unusable subjects (any non-finite value in the
 // feature column), one column window at a time, and resolves the batch
 // against `policy`: fail-fast errors on the lowest-index bad subject,
 // skip/quorum record the drops in `report` (stage = `stage`) and return
-// the surviving column indices.
+// the surviving column indices. Windows are row-major, so each is walked
+// by rows in parallel chunks that keep one non-finite flag per column;
+// the chunks' flags are OR-ed, which no chunk order can change.
 Result<std::vector<std::size_t>> ScreenSubjects(
     const connectome::MatrixStore& store, std::size_t window_cols,
-    const FailurePolicy& policy, const char* stage, BatchReport* report) {
+    const FailurePolicy& policy, const char* stage,
+    const ParallelContext& parallel, BatchReport* report) {
+  NP_TRACE_SCOPE("attack.screen");
   BatchReport local_report;
   if (report == nullptr) report = &local_report;
   report->Clear();
@@ -26,20 +36,34 @@ Result<std::vector<std::size_t>> ScreenSubjects(
   report->attempted = n;
 
   const std::size_t w = store.WindowCols(window_cols);
+  const std::size_t num_chunks = (m + kScreenRowChunk - 1) / kScreenRowChunk;
   std::vector<std::size_t> survivors;
   survivors.reserve(n);
   linalg::Matrix slab;
+  std::vector<std::vector<unsigned char>> chunk_bad(num_chunks);
   for (std::size_t c0 = 0; c0 < n; c0 += w) {
     const std::size_t wc = std::min(w, n - c0);
     const linalg::Matrix* window = nullptr;
     NP_ASSIGN_OR_RETURN(window, store.ViewColumns(c0, wc, &slab));
+    ParallelFor(parallel, 0, m, kScreenRowChunk,
+                [&](std::size_t lo, std::size_t hi) {
+                  std::vector<unsigned char>& bad =
+                      chunk_bad[lo / kScreenRowChunk];
+                  bad.assign(wc, 0);
+                  for (std::size_t i = lo; i < hi; ++i) {
+                    const double* row = window->RowPtr(i);
+                    for (std::size_t c = 0; c < wc; ++c) {
+                      bad[c] |= !std::isfinite(row[c]);
+                    }
+                  }
+                });
     for (std::size_t c = 0; c < wc; ++c) {
-      const std::size_t j = c0 + c;
-      bool finite = true;
-      for (std::size_t i = 0; i < m && finite; ++i) {
-        finite = std::isfinite((*window)(i, c));
+      unsigned char bad = 0;
+      for (const std::vector<unsigned char>& chunk : chunk_bad) {
+        bad |= chunk[c];
       }
-      if (finite) {
+      const std::size_t j = c0 + c;
+      if (bad == 0) {
         survivors.push_back(j);
         continue;
       }
@@ -110,8 +134,9 @@ Result<DeanonymizationAttack> DeanonymizationAttack::FitStreamed(
   }
   std::vector<std::size_t> survivors;
   NP_ASSIGN_OR_RETURN(
-      survivors, ScreenSubjects(known, stream.window_cols,
-                                options.failure_policy, "fit_screen", report));
+      survivors,
+      ScreenSubjects(known, stream.window_cols, options.failure_policy,
+                     "fit_screen", options.parallel, report));
   std::optional<connectome::SubsetColumnsStore> screened_known;
   const connectome::MatrixStore* fit_known = &known;
   if (survivors.size() < known.num_subjects()) {
@@ -184,8 +209,9 @@ Result<AttackResult> DeanonymizationAttack::IdentifyStreamed(
   }
   std::vector<std::size_t> survivors;
   NP_ASSIGN_OR_RETURN(
-      survivors, ScreenSubjects(anonymous, stream.window_cols,
-                                failure_policy_, "identify_screen", report));
+      survivors,
+      ScreenSubjects(anonymous, stream.window_cols, failure_policy_,
+                     "identify_screen", parallel_, report));
   std::optional<connectome::SubsetColumnsStore> screened;
   const connectome::MatrixStore* target = &anonymous;
   if (survivors.size() < anonymous.num_subjects()) {

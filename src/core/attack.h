@@ -31,8 +31,9 @@ struct AttackOptions {
   /// attack on randomized sketched leverage scores (several times faster at
   /// the paper's shape, >= 95% identical feature sets).
   LeverageOptions leverage;
-  /// Threads for the similarity / argmax stages of Identify (captured at
-  /// Fit time). Never changes results, only wall-clock time.
+  /// Threads for the subject screens of Fit and Identify and for the
+  /// similarity / argmax stages of Identify (captured at Fit time). Never
+  /// changes results, only wall-clock time.
   ParallelContext parallel;
   /// Observability: `trace.enabled = true` collects spans and metrics for
   /// this Fit and the resulting attack's Identify calls even when

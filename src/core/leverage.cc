@@ -5,6 +5,7 @@
 #include <numeric>
 
 #include "linalg/eig_sym.h"
+#include "linalg/gemm_kernel.h"
 #include "linalg/randomized_svd.h"
 #include "linalg/svd.h"
 #include "util/metrics.h"
@@ -108,15 +109,41 @@ Result<linalg::Matrix> LeverageBasisFromGram(linalg::Matrix gram,
   return basis;
 }
 
+// The projection step of the Gram path, shared by the in-RAM and the
+// streamed call: l_i = ||a_i basis||^2, one row tile of A at a time, each
+// tile through the fused kernel so the m x k U is never formed.
+// `view_rows(r0, rows, &slab)` yields rows [r0, r0 + rows) of A at full
+// width. Row tiles are independent row blocks of the same product, so the
+// scores do not depend on the tile height.
+template <typename ViewRows>
+Result<linalg::Vector> ProjectOntoBasis(const linalg::Matrix& basis,
+                                        std::size_t m, std::size_t tile,
+                                        const ViewRows& view_rows,
+                                        const ParallelContext& parallel) {
+  NP_TRACE_SCOPE("leverage.project");
+  linalg::Vector scores(m);
+  linalg::Matrix slab;
+  for (std::size_t r0 = 0; r0 < m; r0 += tile) {
+    const linalg::Matrix* rows = nullptr;
+    NP_ASSIGN_OR_RETURN(rows, view_rows(r0, std::min(tile, m - r0), &slab));
+    linalg::ProjectedRowSquaredNorms(*rows, basis, scores.data() + r0,
+                                     parallel);
+  }
+  return scores;
+}
+
 // Gram-matrix fast path: costs two m*n^2 gemm-like passes plus an n x n
-// eigendecomposition instead of an m x n SVD.
+// eigendecomposition instead of an m x n SVD. In RAM, A is one row tile.
 Result<linalg::Vector> LeverageViaGram(const linalg::Matrix& a,
                                        const LeverageOptions& options) {
   auto basis =
       LeverageBasisFromGram(linalg::Gram(a, options.parallel), options);
   if (!basis.ok()) return basis.status();
-  const linalg::Matrix u = linalg::MatMul(a, *basis, options.parallel);
-  return RowSquaredNorms(u, basis->cols());
+  return ProjectOntoBasis(
+      *basis, a.rows(), a.rows(),
+      [&a](std::size_t, std::size_t,
+           linalg::Matrix*) -> Result<const linalg::Matrix*> { return &a; },
+      options.parallel);
 }
 
 }  // namespace
@@ -204,20 +231,15 @@ Result<linalg::Vector> ComputeLeverageScoresStreamed(
     if (!gram.ok()) return gram.status();
     auto basis = LeverageBasisFromGram(std::move(*gram), options);
     if (basis.ok()) {
-      // Row-tiled projection: each tile's MatMul is a full-width GEMM, so
-      // every score matches the in-RAM RowSquaredNorms(MatMul(a, basis))
-      // bit for bit — MatMul row blocks are independent by construction.
-      const std::size_t tile = connectome::DeriveRowTile(m, n, stream.row_tile);
-      linalg::Vector scores(m, 0.0);
-      linalg::Matrix slab;
-      for (std::size_t r0 = 0; r0 < m; r0 += tile) {
-        const std::size_t tr = std::min(tile, m - r0);
-        NP_RETURN_IF_ERROR(store.ReadTile(r0, tr, 0, n, &slab));
-        const linalg::Vector tile_scores = RowSquaredNorms(
-            linalg::MatMul(slab, *basis, options.parallel), basis->cols());
-        std::copy(tile_scores.begin(), tile_scores.end(),
-                  scores.begin() + static_cast<std::ptrdiff_t>(r0));
-      }
+      auto scores = ProjectOntoBasis(
+          *basis, m, connectome::DeriveRowTile(m, n, stream.row_tile),
+          [&store, n](std::size_t r0, std::size_t rows, linalg::Matrix* slab)
+              -> Result<const linalg::Matrix*> {
+            NP_RETURN_IF_ERROR(store.ReadTile(r0, rows, 0, n, slab));
+            return slab;
+          },
+          options.parallel);
+      if (!scores.ok()) return scores.status();
       if (options.diagnostics != nullptr) {
         options.diagnostics->used_gram_fast_path = true;
       }

@@ -85,7 +85,8 @@ Result<linalg::Vector> ComputeLeverageScores(const linalg::Matrix& a,
 /// asked for no window (`stream.window_cols == 0`) is passed to
 /// ComputeLeverageScores in place. Otherwise, when the Gram fast path
 /// applies (tall shape, enabled, not sketching), the whole computation
-/// streams — StreamedGram over column windows, then row-tiled projection —
+/// streams — StreamedGram over column windows, then row tiles projected by
+/// the fused linalg::ProjectedRowSquaredNorms kernel, which never forms U —
 /// holding only one slab plus the n x n Gram resident; other shapes /
 /// modes materialize the store and defer to the in-RAM implementation.
 /// `stream.parallel` is ignored; `options.parallel` drives every kernel,

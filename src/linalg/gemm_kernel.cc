@@ -227,11 +227,9 @@ void PanelParallelGemm(const Matrix& a, bool trans_a, const Matrix& b,
   for (std::size_t p = 1; p < num_panels; ++p) *c += partials[p];
 }
 
-// General shapes: parallelize over kBlockM-row output blocks (disjoint C
-// slices); B is packed once up front and shared read-only.
-void RowParallelGemm(const Matrix& a, bool trans_a, const Matrix& b,
-                     bool trans_b, std::size_t m, std::size_t n,
-                     std::size_t k_dim, Matrix* c, const ParallelContext& ctx) {
+// Packs every K panel of Bhat once, panel p at offset p * BPackSize(n).
+std::vector<double> PackPanelsB(const Matrix& b, bool trans_b,
+                                std::size_t k_dim, std::size_t n) {
   const std::size_t num_panels = CeilDiv(k_dim, kGemmPanelK);
   const std::size_t panel_stride = BPackSize(n);
   std::vector<double> bpack(num_panels * panel_stride);
@@ -240,21 +238,39 @@ void RowParallelGemm(const Matrix& a, bool trans_a, const Matrix& b,
     PackB(b, trans_b, k0, std::min(kGemmPanelK, k_dim - k0), n,
           bpack.data() + p * panel_stride);
   }
-  const std::size_t num_blocks = CeilDiv(m, kBlockM);
-  ParallelFor(ctx, 0, num_blocks, 1, [&](std::size_t blo, std::size_t bhi) {
-    std::vector<double> apack(APackSize());
-    for (std::size_t ib = blo; ib < bhi; ++ib) {
-      const std::size_t i0 = ib * kBlockM;
-      const std::size_t mb = std::min(kBlockM, m - i0);
-      for (std::size_t p = 0; p < num_panels; ++p) {
-        const std::size_t k0 = p * kGemmPanelK;
-        const std::size_t kc = std::min(kGemmPanelK, k_dim - k0);
-        PackA(a, trans_a, i0, mb, k0, kc, apack.data());
-        ComputePanelBlock(apack.data(), i0, mb,
-                          bpack.data() + p * panel_stride, n, kc, p == 0, c);
-      }
-    }
-  });
+  return bpack;
+}
+
+// Rows [i0, i0 + mb) of C = op(A) op(B), every K panel folded in ascending
+// order, written to rows [out_i0, out_i0 + mb) of `out`.
+void ComputeRowBlock(const Matrix& a, bool trans_a, std::size_t i0,
+                     std::size_t mb, std::size_t k_dim,
+                     const std::vector<double>& bpack, std::size_t n,
+                     double* apack, std::size_t out_i0, Matrix* out) {
+  const std::size_t panel_stride = BPackSize(n);
+  for (std::size_t k0 = 0, p = 0; k0 < k_dim; k0 += kGemmPanelK, ++p) {
+    const std::size_t kc = std::min(kGemmPanelK, k_dim - k0);
+    PackA(a, trans_a, i0, mb, k0, kc, apack);
+    ComputePanelBlock(apack, out_i0, mb, bpack.data() + p * panel_stride, n,
+                      kc, p == 0, out);
+  }
+}
+
+// General shapes: parallelize over kBlockM-row output blocks (disjoint C
+// slices); B is packed once up front and shared read-only.
+void RowParallelGemm(const Matrix& a, bool trans_a, const Matrix& b,
+                     bool trans_b, std::size_t m, std::size_t n,
+                     std::size_t k_dim, Matrix* c, const ParallelContext& ctx) {
+  const std::vector<double> bpack = PackPanelsB(b, trans_b, k_dim, n);
+  ParallelFor(ctx, 0, CeilDiv(m, kBlockM), 1,
+              [&](std::size_t blo, std::size_t bhi) {
+                std::vector<double> apack(APackSize());
+                for (std::size_t ib = blo; ib < bhi; ++ib) {
+                  const std::size_t i0 = ib * kBlockM;
+                  ComputeRowBlock(a, trans_a, i0, std::min(kBlockM, m - i0),
+                                  k_dim, bpack, n, apack.data(), i0, c);
+                }
+              });
 }
 
 // Upper-triangle tiles of one Gram panel. With kMr == kNr the packed panel
@@ -377,6 +393,40 @@ void TiledGemm(const Matrix& a, bool trans_a, const Matrix& b, bool trans_b,
   } else {
     RowParallelGemm(a, trans_a, b, trans_b, m, n, k_dim, c, ctx);
   }
+}
+
+void ProjectedRowSquaredNorms(const Matrix& a, const Matrix& b,
+                              double* scores, const ParallelContext& ctx) {
+  const std::size_t m = a.rows();
+  const std::size_t k_dim = a.cols();
+  const std::size_t n = b.cols();
+  NP_CHECK_EQ(k_dim, b.rows()) << "ProjectedRowSquaredNorms contraction";
+  // Counted as the GEMM it performs; the row fold is not counted.
+  metrics::Count("gemm.calls", 1);
+  metrics::Count("gemm.flops", 2 * m * n * k_dim);
+  if (n == 0 || k_dim == 0) {
+    // U is all zeros (or empty): every row folds to +0.0.
+    std::fill(scores, scores + m, 0.0);
+    return;
+  }
+  const std::vector<double> bpack = PackPanelsB(b, false, k_dim, n);
+  ParallelFor(ctx, 0, CeilDiv(m, kBlockM), 1,
+              [&](std::size_t blo, std::size_t bhi) {
+                std::vector<double> apack(APackSize());
+                Matrix tile(kBlockM, n);
+                for (std::size_t ib = blo; ib < bhi; ++ib) {
+                  const std::size_t i0 = ib * kBlockM;
+                  const std::size_t mb = std::min(kBlockM, m - i0);
+                  ComputeRowBlock(a, false, i0, mb, k_dim, bpack, n,
+                                  apack.data(), 0, &tile);
+                  for (std::size_t r = 0; r < mb; ++r) {
+                    const double* u = tile.RowPtr(r);
+                    double sum = 0.0;
+                    for (std::size_t j = 0; j < n; ++j) sum += u[j] * u[j];
+                    scores[i0 + r] = sum;
+                  }
+                }
+              });
 }
 
 void TiledGram(const Matrix& a, Matrix* g, const ParallelContext& ctx) {

@@ -23,6 +23,13 @@
 // in ascending panel order), and the serial path all produce identical
 // bits.
 //
+// ProjectedRowSquaredNorms() is the one fused entry point: it forms
+// U = A * B in kBlockM-row tiles under the same canonical order and folds
+// each row of a tile into sum_j u_ij^2 (ascending j, from 0.0, no fused
+// multiply-add) before the tile is reused, so the m x n U is never
+// allocated. Its scores are bitwise-equal to squaring and summing the rows
+// of MatMul(A, B); leverage scores use it to project onto the Gram basis.
+//
 // Unlike the pre-tiling kernels, zero inputs are not skipped (`if (x ==
 // 0.0) continue` has no place in a register kernel); the only observable
 // difference is the sign of exact-zero outputs in degenerate all-zero
@@ -55,6 +62,14 @@ void TiledGemm(const Matrix& a, bool trans_a, const Matrix& b, bool trans_b,
 /// TiledGemm(a, true, a, false) (products commute, so the mirrored lower
 /// triangle matches the canonical sums). `g` must be a.cols() x a.cols().
 void TiledGram(const Matrix& a, Matrix* g, const ParallelContext& ctx = {});
+
+/// scores[i] = sum over j of (A * B)(i, j)^2 for every row i of `a`,
+/// without materializing A * B. Each product element follows the canonical
+/// order above and each row folds its squares in ascending j from 0.0, so
+/// the result is bitwise-equal to the squared row norms of MatMul(a, b) at
+/// any thread count. `scores` must hold a.rows() doubles.
+void ProjectedRowSquaredNorms(const Matrix& a, const Matrix& b,
+                              double* scores, const ParallelContext& ctx = {});
 
 /// The canonical order implemented with naive loops: serial, no packing,
 /// no tiling. TiledGemm must match it bitwise; tests enforce this. Also

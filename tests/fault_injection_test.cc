@@ -227,6 +227,135 @@ TEST(FaultInjectionAttackTest, IdentifyScreensAndCoversSurvivorsOnly) {
   EXPECT_DOUBLE_EQ(result->accuracy, 1.0);
 }
 
+// Non-finite values at the screen's row boundaries: row 0, the last row,
+// and either side of row 2048 (the screen walks rows in 2048-row chunks,
+// and a power-of-two chunk of any smaller size also ends there).
+connectome::GroupMatrix PoisonBoundaries(const connectome::GroupMatrix& group) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
+  const std::size_t last = group.num_features() - 1;
+  struct Poison {
+    std::size_t row, column;
+    double value;
+  };
+  const Poison poison[] = {{0, 1, kInf},     {0, 2, kNan},
+                           {2047, 4, -kInf}, {2048, 4, kInf},
+                           {2048, 5, kNan},  {last, 7, -kInf},
+                           {last, 10, kNan}};
+  std::vector<linalg::Vector> columns;
+  for (std::size_t j = 0; j < group.num_subjects(); ++j) {
+    columns.push_back(group.SubjectColumn(j));
+  }
+  for (const Poison& p : poison) columns[p.column][p.row] = p.value;
+  return *connectome::GroupMatrix::FromFeatureColumns(columns,
+                                                      group.subject_ids());
+}
+
+// Runs the resident store and a FileMatrixStore read 3 columns at a time.
+template <typename Fn>
+void ForResidentAndFileStores(const connectome::GroupMatrix& group,
+                              const std::string& name, const Fn& fn) {
+  fn(connectome::InMemoryMatrixStore(group), connectome::StreamOptions{});
+  const std::string path = ::testing::TempDir() + "/" + name;
+  ASSERT_TRUE(connectome::WriteGroupMatrix(path, group).ok());
+  auto file = connectome::FileMatrixStore::Open(path);
+  ASSERT_TRUE(file.ok()) << file.status();
+  connectome::StreamOptions windowed;
+  windowed.window_cols = 3;
+  fn(**file, windowed);
+}
+
+void ExpectBoundaryScreenReport(const BatchReport& report, const char* stage) {
+  const std::vector<std::size_t> bad{1, 2, 4, 5, 7, 10};
+  EXPECT_EQ(report.attempted, 12u);
+  ASSERT_EQ(report.failed.size(), bad.size());
+  for (std::size_t f = 0; f < bad.size(); ++f) {
+    const BatchItemReport& item = report.failed[f];
+    const std::string id = "subj-" + std::to_string(bad[f]);
+    EXPECT_EQ(item.index, bad[f]);
+    EXPECT_EQ(item.id, id);
+    EXPECT_EQ(item.stage, stage);
+    EXPECT_EQ(item.status.code(), StatusCode::kCorruptData);
+    EXPECT_EQ(item.status.message(),
+              "subject " + id + " has non-finite feature values");
+  }
+}
+
+TEST(FaultInjectionAttackTest, ScreenReportsRowBoundaryPoisonInColumnOrder) {
+  const connectome::GroupMatrix known = MakeGroup(2 * 2048 + 3, 12, 47);
+  const connectome::GroupMatrix poisoned = PoisonBoundaries(known);
+  const std::vector<std::size_t> survivors{0, 3, 6, 8, 9, 11};
+  const auto clean_survivors = known.RestrictToSubjects(survivors);
+  ASSERT_TRUE(clean_survivors.ok()) << clean_survivors.status();
+  core::AttackOptions reference_options;
+  reference_options.num_features = 32;
+  const auto reference =
+      core::DeanonymizationAttack::Fit(*clean_survivors, reference_options);
+  ASSERT_TRUE(reference.ok()) << reference.status();
+
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{8}}) {
+    SCOPED_TRACE("threads " + std::to_string(threads));
+    core::AttackOptions options = reference_options;
+    options.parallel.num_threads = threads;
+    options.failure_policy = FailurePolicy::SkipAndReport();
+    core::AttackOptions fail_fast = options;
+    fail_fast.failure_policy = FailurePolicy::FailFast();
+    const auto clean_attack = core::DeanonymizationAttack::Fit(known, options);
+    ASSERT_TRUE(clean_attack.ok()) << clean_attack.status();
+    const auto strict_attack =
+        core::DeanonymizationAttack::Fit(known, fail_fast);
+    ASSERT_TRUE(strict_attack.ok()) << strict_attack.status();
+
+    ForResidentAndFileStores(
+        poisoned, "screen_boundaries.npgm",
+        [&](const connectome::MatrixStore& store,
+            const connectome::StreamOptions& stream) {
+          SCOPED_TRACE(stream.window_cols == 0 ? "resident" : "file");
+          // Fit: the same scores and features as a clean fit of the
+          // survivors.
+          BatchReport report;
+          const auto attack = core::DeanonymizationAttack::FitStreamed(
+              store, options, stream, &report);
+          ASSERT_TRUE(attack.ok()) << attack.status();
+          ExpectBoundaryScreenReport(report, "fit_screen");
+          EXPECT_EQ(attack->leverage_scores(), reference->leverage_scores());
+          EXPECT_EQ(attack->selected_features(),
+                    reference->selected_features());
+
+          BatchReport strict_report;
+          const auto strict = core::DeanonymizationAttack::FitStreamed(
+              store, fail_fast, stream, &strict_report);
+          ASSERT_FALSE(strict.ok());
+          ExpectBoundaryScreenReport(strict_report, "fit_screen");
+          EXPECT_EQ(strict.status().code(), StatusCode::kCorruptData);
+          EXPECT_EQ(strict.status().message(),
+                    "subject subj-1 has non-finite feature values");
+
+          // Identify: only the survivors are matched, each to itself.
+          BatchReport identify_report;
+          const auto result =
+              clean_attack->IdentifyStreamed(store, stream, &identify_report);
+          ASSERT_TRUE(result.ok()) << result.status();
+          ExpectBoundaryScreenReport(identify_report, "identify_screen");
+          std::vector<std::string> survivor_ids;
+          for (std::size_t j : survivors) {
+            survivor_ids.push_back(known.subject_ids()[j]);
+          }
+          EXPECT_EQ(result->predicted_ids, survivor_ids);
+
+          BatchReport strict_identify_report;
+          const auto strict_result = strict_attack->IdentifyStreamed(
+              store, stream, &strict_identify_report);
+          ASSERT_FALSE(strict_result.ok());
+          ExpectBoundaryScreenReport(strict_identify_report,
+                                     "identify_screen");
+          EXPECT_EQ(strict_result.status().code(), StatusCode::kCorruptData);
+          EXPECT_EQ(strict_result.status().message(),
+                    "subject subj-1 has non-finite feature values");
+        });
+  }
+}
+
 TEST(FaultInjectionAttackTest, InjectedFitPointFailsTheFit) {
   const connectome::GroupMatrix known = MakeGroup(32, 4, 17);
   core::AttackOptions options;

@@ -6,6 +6,7 @@
 
 #include <bit>
 #include <cstdint>
+#include <cstring>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -632,6 +633,43 @@ TEST(SimdParityTest, GemmKernelsAwkwardShapes) {
       linalg::Matrix gram_ref(shape.k, shape.k);
       linalg::ReferenceGemm(at, false, a, false, &gram_ref);
       ExpectBitwiseEqual(gram_ref, simd_gram, "Gram vs ReferenceGemm");
+    }
+  }
+}
+
+TEST(SimdParityTest, ProjectedRowSquaredNormsMatchesMaterializedProduct) {
+  struct Shape {
+    std::size_t m, k, n;
+  };
+  // m off the 64-row block (including a 1-row input), n % 4 != 0 and
+  // n = 1, and K straddling the kGemmPanelK = 256 panel boundary.
+  constexpr Shape kShapes[] = {{1, 1, 1},     {65, 33, 41},  {130, 255, 7},
+                               {129, 256, 1}, {200, 257, 6}, {300, 100, 100},
+                               {77, 513, 9}};
+  for (const Shape& shape : kShapes) {
+    const linalg::Matrix a = RandomMatrix(shape.m, shape.k, 41 + shape.m);
+    const linalg::Matrix b = RandomMatrix(shape.k, shape.n, 42 + shape.n);
+    // The materialized formulation: U in the canonical order, then each
+    // row's squares folded in ascending j from 0.0.
+    linalg::Matrix u(shape.m, shape.n);
+    linalg::ReferenceGemm(a, false, b, false, &u);
+    linalg::Vector expected(shape.m, 0.0);
+    for (std::size_t i = 0; i < shape.m; ++i) {
+      double sum = 0.0;
+      for (std::size_t j = 0; j < shape.n; ++j) sum += u(i, j) * u(i, j);
+      expected[i] = sum;
+    }
+    for (const std::size_t threads : kThreadCounts) {
+      ForBothIsas([&](bool is_scalar) {
+        linalg::Vector fused(shape.m, -1.0);
+        linalg::ProjectedRowSquaredNorms(a, b, fused.data(),
+                                         ParallelContext{threads});
+        EXPECT_EQ(std::memcmp(fused.data(), expected.data(),
+                              shape.m * sizeof(double)),
+                  0)
+            << shape.m << "x" << shape.k << "x" << shape.n << " at "
+            << threads << " threads, " << (is_scalar ? "scalar" : "simd");
+      });
     }
   }
 }
