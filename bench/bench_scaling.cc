@@ -9,8 +9,8 @@
 // microbenchmark suite runs. Before that, comparison tables quantify this
 // repo's kernel work: the tiled GEMM micro-kernels against the pre-tiling
 // naive triple loops (kept here as baselines), the fused leverage
-// projection against MatMul plus a row-norm pass, sketched leverage scoring
-// against the exact decomposition paths, the dispatched SIMD kernels
+// projection against MatMul plus a row-norm pass, Gram-path leverage
+// scoring against the exact SVD path, the dispatched SIMD kernels
 // against the scalar reference table (per-ISA, with a bitwise-equality
 // assertion), and the blocked bidiagonalization against the serial
 // Householder reduction. Pass `--json=PATH` to also emit those
@@ -252,8 +252,8 @@ double TopOverlapFraction(const linalg::Vector& x, const linalg::Vector& y,
 }  // namespace
 
 // Single-thread comparison of the tiled GEMM micro-kernels against the
-// pre-tiling naive loops, and of sketched leverage scoring against the
-// exact decomposition paths, at the paper's 64620 x 100 group-matrix
+// pre-tiling naive loops, and of Gram-path leverage scoring against the
+// exact SVD path, at the paper's 64620 x 100 group-matrix
 // shape (shrunk under NEUROPRINT_BENCH_FAST). Results go to stdout, to
 // scaling_kernels.csv, and — when --json was given — to the JSON report.
 void ReportKernelComparisons(bench::JsonReporter* json) {
@@ -364,17 +364,8 @@ void ReportKernelComparisons(bench::JsonReporter* json) {
     const double gram_sec = clock.ElapsedSeconds();
     NP_CHECK(gram_scores.ok()) << gram_scores.status().ToString();
 
-    core::LeverageOptions sketch;
-    sketch.sketch = true;
-    clock.Restart();
-    const auto sketch_scores = core::ComputeLeverageScores(a, sketch);
-    const double sketch_sec = clock.ElapsedSeconds();
-    NP_CHECK(sketch_scores.ok()) << sketch_scores.status().ToString();
-
     emit("leverage_gram", "exact SVD leverage", svd_sec, gram_sec,
          TopOverlapFraction(*svd_scores, *gram_scores, 100));
-    emit("leverage_sketch", "exact SVD leverage", svd_sec, sketch_sec,
-         TopOverlapFraction(*svd_scores, *sketch_scores, 100));
   }
   std::printf("\n");
   bench::WriteCsvOrDie(csv, "scaling_kernels.csv");

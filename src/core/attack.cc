@@ -150,8 +150,7 @@ Result<DeanonymizationAttack> DeanonymizationAttack::FitStreamed(
     fit_known = &*screened_known;
   }
   // The leverage stage inherits the attack-wide thread knob unless its own
-  // is set (AttackOptions{.leverage = {.sketch = true}} runs the whole fit
-  // on the randomized sketch).
+  // is set.
   LeverageOptions leverage = options.leverage;
   if (leverage.parallel.num_threads == 0) {
     leverage.parallel = options.parallel;

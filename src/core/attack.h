@@ -27,9 +27,8 @@ struct AttackOptions {
   /// Number of leverage-selected features to keep. The paper reduces the
   /// 64620-feature resting-state matrices to fewer than 100 rows.
   std::size_t num_features = 100;
-  /// Feature-selection knobs; set `leverage.sketch = true` to fit the whole
-  /// attack on randomized sketched leverage scores (several times faster at
-  /// the paper's shape, >= 95% identical feature sets).
+  /// Feature-selection knobs: exact, deterministic top-t leverage scores
+  /// (the paper's Eq. 5) on the Gram fast path or the exact SVD.
   LeverageOptions leverage;
   /// Threads for the subject screens of Fit and Identify and for the
   /// similarity / argmax stages of Identify (captured at Fit time). Never

@@ -6,7 +6,6 @@
 
 #include "linalg/eig_sym.h"
 #include "linalg/gemm_kernel.h"
-#include "linalg/randomized_svd.h"
 #include "linalg/svd.h"
 #include "util/metrics.h"
 #include "util/string_util.h"
@@ -25,37 +24,6 @@ linalg::Vector RowSquaredNorms(const linalg::Matrix& u, std::size_t k) {
     scores[i] = sum;
   }
   return scores;
-}
-
-// Sketch path: leverage scores against the randomized rank-k dominant
-// subspace. The scores are approximate but the top-t ordering they induce
-// matches the exact one almost everywhere on decaying spectra, which is
-// all the principal-features construction consumes.
-Result<linalg::Vector> LeverageViaSketch(const linalg::Matrix& a,
-                                         const LeverageOptions& options) {
-  linalg::RandomizedSvdOptions ropts;
-  std::size_t target = options.sketch_rank;
-  if (target == 0) {
-    target = options.rank != 0 ? options.rank : std::max<std::size_t>(
-                                                    1, a.cols() / 2);
-  }
-  ropts.rank = std::min(target, a.cols());
-  ropts.oversample = options.sketch_oversample;
-  ropts.power_iterations = options.sketch_power_iterations;
-  ropts.seed = options.sketch_seed;
-  ropts.parallel = options.parallel;
-  auto rsvd = linalg::RandomizedSvd(a, ropts);
-  if (!rsvd.ok()) return rsvd.status();
-
-  std::size_t k = rsvd->Rank(1e-12);
-  if (options.rank > 0) k = std::min(k, options.rank);
-  if (k == 0) {
-    return Status::FailedPrecondition(
-        "ComputeLeverageScores: matrix is numerically zero");
-  }
-  metrics::SetGauge("leverage.rank", static_cast<double>(k));
-  metrics::SetGauge("leverage.sketch_rank", static_cast<double>(ropts.rank));
-  return RowSquaredNorms(rsvd->u, k);
 }
 
 // The shared core of the in-RAM and streamed Gram fast paths: A = U S V^T
@@ -160,17 +128,6 @@ Result<linalg::Vector> ComputeLeverageScores(const linalg::Matrix& a,
         "ComputeLeverageScores: expects a tall features-by-subjects matrix");
   }
   if (options.diagnostics != nullptr) *options.diagnostics = {};
-  if (options.sketch) {
-    auto sketched = LeverageViaSketch(a, options);
-    if (sketched.ok() && options.diagnostics != nullptr) {
-      options.diagnostics->used_sketch = true;
-    }
-    if (sketched.ok()) {
-      metrics::Count("leverage.path.sketch", 1);
-      return sketched;
-    }
-    // Fall through to the exact paths on numerical failure.
-  }
   if (options.allow_gram_fast_path && a.rows() >= 4 * a.cols()) {
     auto fast = LeverageViaGram(a, options);
     if (fast.ok()) {
@@ -224,7 +181,7 @@ Result<linalg::Vector> ComputeLeverageScoresStreamed(
         "ComputeLeverageScores: expects a tall features-by-subjects matrix");
   }
   if (options.diagnostics != nullptr) *options.diagnostics = {};
-  if (!options.sketch && options.allow_gram_fast_path && m >= 4 * n) {
+  if (options.allow_gram_fast_path && m >= 4 * n) {
     connectome::StreamOptions windows = stream;
     windows.parallel = options.parallel;
     auto gram = connectome::StreamedGram(store, windows);

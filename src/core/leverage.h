@@ -11,7 +11,6 @@
 #define NEUROPRINT_CORE_LEVERAGE_H_
 
 #include <cstddef>
-#include <cstdint>
 #include <vector>
 
 #include "connectome/matrix_store.h"
@@ -25,8 +24,6 @@ namespace neuroprint::core {
 struct LeverageDiagnostics {
   /// The Gram-eigendecomposition fast path ran to completion.
   bool used_gram_fast_path = false;
-  /// The randomized sketch path ran to completion.
-  bool used_sketch = false;
   /// The exact-SVD branch ran and its SVD took the thin-QR preconditioning
   /// fast path (expected for tall group matrices).
   bool svd_qr_preconditioned = false;
@@ -47,28 +44,6 @@ struct LeverageOptions {
   /// the condition number (validated against the SVD path in tests).
   /// Disable to force the SVD path.
   bool allow_gram_fast_path = true;
-  /// Randomized sketch mode: approximate the dominant column space with a
-  /// seeded Halko range sketch (linalg::RandomizedSvd) and score rows
-  /// against it. All GEMM-shaped work — several times faster than the
-  /// exact decompositions at the paper's shape — and deterministic for a
-  /// fixed sketch_seed. The top-t feature sets it selects overlap the
-  /// exact ones >= 95% on simulated group matrices (asserted in tests).
-  /// Takes precedence over the Gram fast path when enabled.
-  bool sketch = false;
-  /// Sketch subspace rank. 0 picks `rank` if set, else cols/2 (enough to
-  /// dominate the leverage ordering on decaying spectra at half the
-  /// passes of a full-width sketch).
-  std::size_t sketch_rank = 0;
-  /// Oversampling columns added to sketch_rank (Halko's p).
-  std::size_t sketch_oversample = 8;
-  /// Power iterations for the sketch (q); see RandomizedSvdOptions. The
-  /// default is 0: leverage scoring wants breadth of column-space capture
-  /// rather than spectral sharpening, and a plain Gaussian range probe
-  /// already lands >= 95% top-t overlap at half the passes over A. Raise
-  /// for strongly decaying spectra where the dominant subspace matters.
-  int sketch_power_iterations = 0;
-  /// Seed for the sketch's Gaussian test matrix.
-  std::uint64_t sketch_seed = 0x6c65766572616765ULL;
   /// Thread knob for the underlying kernels (never changes results).
   ParallelContext parallel;
   /// Optional telemetry sink; filled by ComputeLeverageScores when set.
@@ -84,11 +59,11 @@ Result<linalg::Vector> ComputeLeverageScores(const linalg::Matrix& a,
 /// of the materialized store in every configuration. A resident store
 /// asked for no window (`stream.window_cols == 0`) is passed to
 /// ComputeLeverageScores in place. Otherwise, when the Gram fast path
-/// applies (tall shape, enabled, not sketching), the whole computation
-/// streams — StreamedGram over column windows, then row tiles projected by
-/// the fused linalg::ProjectedRowSquaredNorms kernel, which never forms U —
-/// holding only one slab plus the n x n Gram resident; other shapes /
-/// modes materialize the store and defer to the in-RAM implementation.
+/// applies (tall shape, enabled), the whole computation streams —
+/// StreamedGram over column windows, then row tiles projected by the fused
+/// linalg::ProjectedRowSquaredNorms kernel, which never forms U — holding
+/// only one slab plus the n x n Gram resident; other shapes materialize
+/// the store and defer to the in-RAM implementation.
 /// `stream.parallel` is ignored; `options.parallel` drives every kernel,
 /// as in the in-RAM call.
 Result<linalg::Vector> ComputeLeverageScoresStreamed(

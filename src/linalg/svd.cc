@@ -23,6 +23,15 @@ namespace {
 // level-3 machinery costs more than it saves.
 constexpr std::size_t kBlockedBidiagMinDim = 64;
 
+// Implicit-shift QR iterations allowed per singular value before the
+// iteration is reported as stalled (NotConverged).
+constexpr int kMaxIterationsPerValue = 60;
+
+// Tall inputs with rows >= kQrPreconditionRatio * cols are factored A = QR
+// first and the SVD runs on R (exact; saves the O(m n) sweeps on the long
+// dimension).
+constexpr double kQrPreconditionRatio = 1.6;
+
 // sqrt(a^2 + b^2) without destructive underflow or overflow.
 double Pythag(double a, double b) {
   const double absa = std::fabs(a);
@@ -66,8 +75,7 @@ void RotateColumns(Matrix& mat, std::size_t ca, std::size_t cb, double c,
 // values and u/v the rotated vectors. Shared by the classic
 // single-vector reduction and the blocked panel reduction.
 Status DiagonalizeBidiagonal(Matrix& u, Vector& w, std::vector<double>& rv1,
-                             Matrix& v, int max_its,
-                             const ParallelContext& ctx) {
+                             Matrix& v, const ParallelContext& ctx) {
   const int m = static_cast<int>(u.rows());
   const int n = static_cast<int>(u.cols());
   const double eps = std::numeric_limits<double>::epsilon();
@@ -124,10 +132,10 @@ Status DiagonalizeBidiagonal(Matrix& u, Vector& w, std::vector<double>& rv1,
         }
         break;
       }
-      if (its >= max_its) {
+      if (its >= kMaxIterationsPerValue) {
         return Status::NotConverged(StrFormat(
             "SVD: no convergence for singular value %d after %d iterations",
-            k, max_its));
+            k, kMaxIterationsPerValue));
       }
       ++qr_its;
       // Shift from the bottom 2x2 minor.
@@ -186,7 +194,7 @@ Status DiagonalizeBidiagonal(Matrix& u, Vector& w, std::vector<double>& rv1,
 // singular vectors (m x n) on exit; `w` gets the n singular values; `v` the
 // right singular vectors (n x n). Classic algorithm (Golub & Reinsch 1970,
 // as popularized by EISPACK/Numerical Recipes), 0-based.
-Status GolubReinsch(Matrix& u, Vector& w, Matrix& v, int max_its,
+Status GolubReinsch(Matrix& u, Vector& w, Matrix& v,
                     const ParallelContext& ctx) {
   const int m = static_cast<int>(u.rows());
   const int n = static_cast<int>(u.cols());
@@ -284,7 +292,7 @@ Status GolubReinsch(Matrix& u, Vector& w, Matrix& v, int max_its,
     ++u(i, i);
   }
 
-  return DiagonalizeBidiagonal(u, w, rv1, v, max_its, ctx);
+  return DiagonalizeBidiagonal(u, w, rv1, v, ctx);
 }
 
 // Sorts singular values into descending order, permuting the columns of U
@@ -317,7 +325,7 @@ Result<SvdDecomposition> SvdTall(const Matrix& a, const SvdOptions& options) {
 
   if (!options.force_direct &&
       static_cast<double>(m) >=
-          options.qr_precondition_ratio * static_cast<double>(n) &&
+          kQrPreconditionRatio * static_cast<double>(n) &&
       n > 0) {
     // Tall-skinny fast path: A = Q R, SVD(R) = Ur S V^T, so
     // A = (Q Ur) S V^T exactly.
@@ -354,14 +362,11 @@ Result<SvdDecomposition> SvdTall(const Matrix& a, const SvdOptions& options) {
     d.blocked_bidiag = true;
     metrics::Count("svd.blocked_bidiag", 1);
     const Status status =
-        DiagonalizeBidiagonal(d.u, d.s, rv1, d.v,
-                              options.max_iterations_per_value,
-                              options.parallel);
+        DiagonalizeBidiagonal(d.u, d.s, rv1, d.v, options.parallel);
     if (!status.ok()) return status;
   } else {
     d.u = a;
-    const Status status = GolubReinsch(
-        d.u, d.s, d.v, options.max_iterations_per_value, options.parallel);
+    const Status status = GolubReinsch(d.u, d.s, d.v, options.parallel);
     if (!status.ok()) return status;
   }
   SortDescending(d);

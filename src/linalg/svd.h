@@ -40,12 +40,8 @@ struct SvdDecomposition {
 };
 
 struct SvdOptions {
-  /// Maximum implicit-shift QR iterations per singular value.
-  int max_iterations_per_value = 60;
-  /// If rows >= qr_precondition_ratio * cols, factor A = QR first and run
-  /// the SVD on R (exact; saves the O(m n) sweeps on the long dimension).
-  double qr_precondition_ratio = 1.6;
-  /// Disables the QR fast path (for testing the direct path on tall input).
+  /// Disables the thin-QR preconditioning that tall inputs (rows >= 1.6 *
+  /// cols) otherwise take (for testing the direct path on tall input).
   bool force_direct = false;
   /// Panel width of the blocked Householder bidiagonalization used on
   /// the direct path when min(rows, cols) >= 64 (trailing updates become

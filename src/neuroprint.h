@@ -28,7 +28,6 @@
 #include "linalg/lu.h"             // LU solve / inverse / determinant.
 #include "linalg/matrix.h"         // Matrix type and gemm-like kernels.
 #include "linalg/qr.h"             // Householder QR, least squares.
-#include "linalg/randomized_svd.h" // Halko randomized range-finder SVD.
 #include "linalg/simd/simd.h"      // Runtime-dispatched SIMD micro-kernels.
 #include "linalg/stats.h"          // Correlation/covariance/z-score kernels.
 #include "linalg/svd.h"            // Thin SVD (Golub-Kahan-Reinsch, Jacobi).

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <optional>
 #include <string>
 #include <utility>
 
@@ -307,91 +308,24 @@ Result<PipelineOutput> RunPipeline(const image::Volume4D& raw,
   return output;
 }
 
-Result<PipelineBatchOutput> RunPipelineBatch(
-    const std::vector<image::Volume4D>& runs,
-    const std::vector<std::string>& ids, const atlas::Atlas& atlas,
-    const PipelineConfig& config) {
-  if (!ids.empty() && ids.size() != runs.size()) {
-    return Status::InvalidArgument(StrFormat(
-        "RunPipelineBatch: %zu ids for %zu runs", ids.size(), runs.size()));
-  }
-  trace::ScopedEnable trace_enable(config.trace.enabled);
-  // Installed once for the whole batch; per-item configs must not nest
-  // another schedule from worker threads.
-  fault::ScopedSchedule fault_schedule(config.fault.schedule);
-  NP_RETURN_IF_ERROR(fault_schedule.status());
-  NP_TRACE_SCOPE("pipeline.batch");
+namespace {
 
-  PipelineBatchOutput out;
-  out.report.attempted = runs.size();
-  if (runs.empty()) return out;
-
-  PipelineConfig item_config = config;
-  item_config.fault.schedule.clear();
-
-  std::vector<PipelineOutput> results(runs.size());
-  std::vector<char> succeeded(runs.size(), 0);
-  std::vector<std::pair<std::size_t, Status>> errors;
-  ParallelForStatusCollect(
-      config.parallel, 0, runs.size(), 1,
-      [&](std::size_t i) -> Status {
-        NP_FAULT_POINT_KEYED("pipeline.batch_item", i);
-        Result<PipelineOutput> result = RunPipeline(runs[i], atlas,
-                                                    item_config);
-        if (!result.ok()) return result.status();
-        results[i] = std::move(result).value();
-        succeeded[i] = 1;
-        return Status::OK();
-      },
-      &errors);
-
-  for (auto& [index, status] : errors) {
-    BatchItemReport item;
-    item.index = index;
-    if (!ids.empty()) item.id = ids[index];
-    item.stage = "pipeline";
-    item.status = std::move(status);
-    out.report.failed.push_back(std::move(item));
-  }
-  for (std::size_t i = 0; i < runs.size(); ++i) {
-    if (!succeeded[i] || results[i].degraded_frames.empty()) continue;
-    BatchItemReport item;
-    item.index = i;
-    if (!ids.empty()) item.id = ids[i];
-    item.stage = "motion_correction";
-    for (std::size_t frame : results[i].degraded_frames) {
-      item.degradations.push_back(
-          StrFormat("identity_transform_frame_%zu", frame));
-    }
-    out.report.degraded.push_back(std::move(item));
-  }
-  if (!out.report.degraded.empty()) {
-    metrics::Count("batch.subjects_degraded", out.report.degraded.size());
-  }
-  NP_RETURN_IF_ERROR(ResolveBatch(config.failure_policy, out.report));
-  if (!out.report.failed.empty()) {
-    metrics::Count("batch.subjects_skipped", out.report.failed.size());
-  }
-  for (std::size_t i = 0; i < runs.size(); ++i) {
-    if (!succeeded[i]) continue;
-    out.outputs.push_back(std::move(results[i]));
-    out.indices.push_back(i);
-  }
-  return out;
-}
-
-Result<PipelineBatchOutput> RunPipelineBatch(
-    const RunSource& source, std::size_t num_runs,
-    const std::vector<std::string>& ids, const atlas::Atlas& atlas,
-    const PipelineConfig& config) {
-  if (source == nullptr) {
-    return Status::InvalidArgument("RunPipelineBatch: null run source");
-  }
+// The one batch loop behind both RunPipelineBatch overloads. With
+// `resident` set, every run is already in RAM: runs are read in place, the
+// window is the whole batch and nothing spills. Otherwise runs are pulled
+// from `source` in windows of config.max_in_flight and each window's region
+// series spill to disk until the batch resolves.
+Result<PipelineBatchOutput> RunBatch(
+    const std::vector<image::Volume4D>* resident, const RunSource& source,
+    std::size_t num_runs, const std::vector<std::string>& ids,
+    const atlas::Atlas& atlas, const PipelineConfig& config) {
   if (!ids.empty() && ids.size() != num_runs) {
     return Status::InvalidArgument(StrFormat(
         "RunPipelineBatch: %zu ids for %zu runs", ids.size(), num_runs));
   }
   trace::ScopedEnable trace_enable(config.trace.enabled);
+  // Installed once for the whole batch; per-item configs must not nest
+  // another schedule from worker threads.
   fault::ScopedSchedule fault_schedule(config.fault.schedule);
   NP_RETURN_IF_ERROR(fault_schedule.status());
   NP_TRACE_SCOPE("pipeline.batch");
@@ -402,39 +336,48 @@ Result<PipelineBatchOutput> RunPipelineBatch(
 
   PipelineConfig item_config = config;
   item_config.fault.schedule.clear();
-  const std::size_t window = config.max_in_flight > 0
-                                 ? std::min(config.max_in_flight, num_runs)
-                                 : num_runs;
+  const std::size_t window =
+      resident == nullptr && config.max_in_flight > 0
+          ? std::min(config.max_in_flight, num_runs)
+          : num_runs;
 
   // Completed region series spill to disk so only `window` raw runs plus
   // the light per-run provenance (mask, motion, timings) stay resident
   // until the batch resolves.
-  auto spill = SpillFile::Create();
-  if (!spill.ok()) return spill.status();
+  std::optional<SpillFile> spill;
+  if (resident == nullptr) {
+    auto created = SpillFile::Create();
+    if (!created.ok()) return created.status();
+    spill.emplace(std::move(created).value());
+  }
 
   struct PendingOutput {
     std::size_t index = 0;
     std::size_t spill_column = 0;
     std::size_t rows = 0;
     std::size_t cols = 0;
-    PipelineOutput output;  // region_series empty until restore
+    PipelineOutput output;  // region_series empty until restore if spilled
   };
   std::vector<PendingOutput> pending;
 
   std::vector<image::Volume4D> window_runs(window);
+  std::vector<const image::Volume4D*> loaded(window, nullptr);
   std::vector<PipelineOutput> results(window);
-  std::vector<char> loaded(window, 0);
   std::vector<char> succeeded(window, 0);
   std::vector<std::pair<std::size_t, Status>> errors;
 
   for (std::size_t base = 0; base < num_runs; base += window) {
     const std::size_t batch = std::min(window, num_runs - base);
-    std::fill(loaded.begin(), loaded.end(), 0);
+    std::fill(loaded.begin(), loaded.end(), nullptr);
     std::fill(succeeded.begin(), succeeded.end(), 0);
     std::vector<BatchItemReport> window_failed;
 
     // Load phase — serial: sources are usually IO-bound decoders.
     for (std::size_t k = 0; k < batch; ++k) {
+      if (resident != nullptr) {
+        loaded[k] = &(*resident)[base + k];
+        continue;
+      }
       Result<image::Volume4D> run = source(base + k);
       if (!run.ok()) {
         BatchItemReport item;
@@ -446,17 +389,17 @@ Result<PipelineBatchOutput> RunPipelineBatch(
         continue;
       }
       window_runs[k] = std::move(run).value();
-      loaded[k] = 1;
+      loaded[k] = &window_runs[k];
     }
 
     ParallelForStatusCollect(
         config.parallel, 0, batch, 1,
         [&](std::size_t k) -> Status {
-          if (!loaded[k]) return Status::OK();
+          if (loaded[k] == nullptr) return Status::OK();
           NP_FAULT_POINT_KEYED("pipeline.batch_item", base + k);
           Result<PipelineOutput> result =
-              RunPipeline(window_runs[k], atlas, item_config);
-          window_runs[k] = image::Volume4D();  // release the raw run
+              RunPipeline(*loaded[k], atlas, item_config);
+          window_runs[k] = image::Volume4D();  // release a loaded raw run
           if (!result.ok()) return result.status();
           results[k] = std::move(result).value();
           succeeded[k] = 1;
@@ -472,8 +415,8 @@ Result<PipelineBatchOutput> RunPipelineBatch(
       item.status = std::move(status);
       window_failed.push_back(std::move(item));
     }
-    // Load and pipeline failures interleave; index order keeps the report
-    // identical to the vector overload's.
+    // Load and pipeline failures interleave; the report lists them in
+    // index order.
     std::sort(window_failed.begin(), window_failed.end(),
               [](const BatchItemReport& a, const BatchItemReport& b) {
                 return a.index < b.index;
@@ -501,15 +444,17 @@ Result<PipelineBatchOutput> RunPipelineBatch(
       if (!succeeded[k]) continue;
       PendingOutput p;
       p.index = base + k;
-      p.spill_column = spill->num_columns();
-      p.rows = results[k].region_series.rows();
-      p.cols = results[k].region_series.cols();
-      const std::size_t count = p.rows * p.cols;
-      const double dummy = 0.0;
-      const double* data =
-          count > 0 ? results[k].region_series.RowPtr(0) : &dummy;
-      NP_RETURN_IF_ERROR(spill->AppendColumn(data, count));
-      results[k].region_series = linalg::Matrix();
+      if (spill.has_value()) {
+        p.spill_column = spill->num_columns();
+        p.rows = results[k].region_series.rows();
+        p.cols = results[k].region_series.cols();
+        const std::size_t count = p.rows * p.cols;
+        const double dummy = 0.0;
+        const double* data =
+            count > 0 ? results[k].region_series.RowPtr(0) : &dummy;
+        NP_RETURN_IF_ERROR(spill->AppendColumn(data, count));
+        results[k].region_series = linalg::Matrix();
+      }
       p.output = std::move(results[k]);
       results[k] = PipelineOutput();
       pending.push_back(std::move(p));
@@ -527,16 +472,37 @@ Result<PipelineBatchOutput> RunPipelineBatch(
   // Restore phase: read the spilled series back in survivor order.
   std::vector<double> column;
   for (PendingOutput& p : pending) {
-    NP_RETURN_IF_ERROR(spill->ReadColumn(p.spill_column, &column));
-    linalg::Matrix series(p.rows, p.cols);
-    if (p.rows * p.cols > 0) {
-      std::copy(column.begin(), column.end(), series.RowPtr(0));
+    if (spill.has_value()) {
+      NP_RETURN_IF_ERROR(spill->ReadColumn(p.spill_column, &column));
+      linalg::Matrix series(p.rows, p.cols);
+      if (p.rows * p.cols > 0) {
+        std::copy(column.begin(), column.end(), series.RowPtr(0));
+      }
+      p.output.region_series = std::move(series);
     }
-    p.output.region_series = std::move(series);
     out.outputs.push_back(std::move(p.output));
     out.indices.push_back(p.index);
   }
   return out;
+}
+
+}  // namespace
+
+Result<PipelineBatchOutput> RunPipelineBatch(
+    const std::vector<image::Volume4D>& runs,
+    const std::vector<std::string>& ids, const atlas::Atlas& atlas,
+    const PipelineConfig& config) {
+  return RunBatch(&runs, nullptr, runs.size(), ids, atlas, config);
+}
+
+Result<PipelineBatchOutput> RunPipelineBatch(
+    const RunSource& source, std::size_t num_runs,
+    const std::vector<std::string>& ids, const atlas::Atlas& atlas,
+    const PipelineConfig& config) {
+  if (source == nullptr) {
+    return Status::InvalidArgument("RunPipelineBatch: null run source");
+  }
+  return RunBatch(nullptr, source, num_runs, ids, atlas, config);
 }
 
 }  // namespace neuroprint::preprocess

@@ -132,7 +132,9 @@ struct PipelineBatchOutput {
 /// Runs the pipeline over a batch of runs under config.failure_policy:
 /// fail-fast returns the lowest-index failure; skip-and-report / quorum
 /// drop failed runs into the report and keep going (see util/batch.h).
-/// `ids` labels the report entries and may be empty.
+/// `ids` labels the report entries and may be empty. The same batch loop
+/// as the RunSource overload, with the runs read in place: the window is
+/// the whole batch and nothing spills (config.max_in_flight is ignored).
 Result<PipelineBatchOutput> RunPipelineBatch(
     const std::vector<image::Volume4D>& runs,
     const std::vector<std::string>& ids, const atlas::Atlas& atlas,

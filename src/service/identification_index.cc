@@ -794,46 +794,15 @@ Result<IdentifyMatch> IdentificationIndex::Identify(
   fault::ScopedSchedule fault_schedule(options_.fault.schedule);
   NP_RETURN_IF_ERROR(fault_schedule.status());
   NP_TRACE_SCOPE("service.identify");
-  NP_FAULT_POINT("service.probe");
-  if (size_ == 0) {
-    return Status::FailedPrecondition("Identify: empty gallery");
-  }
-  if (probe_features.size() != full_feature_count_) {
-    return Status::InvalidArgument(StrFormat(
-        "Identify: probe has %zu features, index holds %zu",
-        probe_features.size(), full_feature_count_));
-  }
-  if (!AllFinite(probe_features)) {
-    return Status::CorruptData("Identify: probe has non-finite values");
-  }
-  RebuildDirtyClusters();
-  const linalg::Vector fingerprint = MakeFingerprint(probe_features);
-
-  const std::size_t num_shards = shards_.size();
-  std::vector<ShardCandidate> candidates(num_shards);
-  const std::size_t shard_work =
-      (size_ / num_shards + 1) * selected_features_.size();
-  ParallelFor(options_.parallel, 0, num_shards, GrainForWork(shard_work),
-              [&](std::size_t lo, std::size_t hi) {
-                for (std::size_t s = lo; s < hi; ++s) {
-                  ProbeShard(fingerprint, s, /*brute_force=*/false,
-                             &candidates[s]);
-                }
-              });
-  IdentifyMatch match = MergeShardCandidates(candidates.data(), num_shards);
-  if (options_.exact_rescore_margin > 0.0 && size_ > 1 &&
-      match.margin < options_.exact_rescore_margin) {
-    const std::size_t scanned_before = match.candidates_scanned;
-    for (std::size_t s = 0; s < num_shards; ++s) {
-      ProbeShard(fingerprint, s, /*brute_force=*/true, &candidates[s]);
-    }
-    match = MergeShardCandidates(candidates.data(), num_shards);
-    match.candidates_scanned += scanned_before;
-    metrics::Count("service.exact_rescores", 1);
-  }
-  metrics::Count("service.identifies", 1);
-  metrics::Count("service.candidates_scanned", match.candidates_scanned);
-  return match;
+  connectome::GroupMatrix probes;
+  NP_ASSIGN_OR_RETURN(probes, connectome::GroupMatrix::FromFeatureColumns(
+                                  {probe_features}, {"query"}));
+  BatchReport report;
+  auto result = IdentifyBatchImpl(probes, &report, /*brute_force=*/false);
+  // A screened-out probe fails with its own status under every policy.
+  if (!report.failed.empty()) return report.failed.front().status;
+  if (!result.ok()) return result.status();
+  return std::move(result->matches.front());
 }
 
 Result<BatchIdentifyResult> IdentificationIndex::IdentifyBatchImpl(

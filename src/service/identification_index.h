@@ -119,8 +119,7 @@ struct IndexOptions {
   /// the subspace. Disable for memory-lean serving (the 50k-subject
   /// bench does); RefreshSketch then returns FailedPrecondition.
   bool retain_full_columns = true;
-  /// Feature-selection knobs for Create/RefreshSketch (sketch = true
-  /// runs the randomized-sketch leverage path).
+  /// Feature-selection knobs for Create/RefreshSketch.
   core::LeverageOptions leverage;
   /// Threads for enrollment screening and sharded probing (never changes
   /// results).
@@ -301,10 +300,12 @@ class IdentificationIndex {
   /// retain_full_columns and a non-empty gallery.
   Status RefreshSketch();
 
-  /// Identifies one probe (full-feature column) against the gallery via
-  /// the sharded, cluster-pruned search. FailedPrecondition on an empty
-  /// gallery; InvalidArgument on a dimension mismatch; CorruptData on a
-  /// non-finite probe (the screening convention of core/attack.h).
+  /// Identifies one probe (full-feature column): an adapter that runs
+  /// IdentifyBatch on a one-column batch, so the match is bit-identical to
+  /// that probe's batch entry. FailedPrecondition on an empty gallery;
+  /// InvalidArgument on a dimension mismatch; CorruptData on a non-finite
+  /// probe. A probe the screen drops (including faults at `service.probe`,
+  /// key 0) fails with its own status under every failure policy.
   Result<IdentifyMatch> Identify(const linalg::Vector& probe_features);
 
   /// Identifies every probe of `probes` concurrently ((probe x shard)

@@ -2,7 +2,6 @@
 // matcher, and the DeanonymizationAttack facade.
 
 #include <cmath>
-#include <set>
 
 #include <gtest/gtest.h>
 
@@ -140,90 +139,6 @@ TEST(LeverageTest, GramFastPathHandlesRankDeficiency) {
   EXPECT_NEAR(exact_sum, 5.0, 1e-6);
 }
 
-// Group-matrix-like input with planted high-leverage rows: base noise plus
-// decaying low-rank structure, then `num_planted` rows boosted on a ramp
-// (10x down to 2x) so the top-t cutoff falls on well-separated scores —
-// the "small set of identity-carrying edges" regime the attack targets.
-linalg::Matrix PlantedGroupMatrix(std::size_t rows, std::size_t cols,
-                                  std::size_t num_planted,
-                                  std::uint64_t seed) {
-  Rng rng(seed);
-  linalg::Matrix a = RandomMatrix(rows, cols, rng);
-  const linalg::Matrix u = RandomMatrix(rows, 10, rng);
-  const linalg::Matrix v = RandomMatrix(cols, 10, rng);
-  for (std::size_t i = 0; i < rows; ++i) {
-    for (std::size_t j = 0; j < cols; ++j) {
-      double s = 0.0;
-      for (std::size_t t = 0; t < 10; ++t) {
-        s += u(i, t) * v(j, t) / static_cast<double>(1 + t);
-      }
-      a(i, j) = 0.5 * a(i, j) + s;
-    }
-  }
-  std::vector<std::size_t> planted = rng.Permutation(rows);
-  planted.resize(num_planted);
-  for (std::size_t p = 0; p < num_planted; ++p) {
-    const double boost = 10.0 - 8.0 * static_cast<double>(p) /
-                                    static_cast<double>(num_planted - 1);
-    for (std::size_t j = 0; j < cols; ++j) a(planted[p], j) *= boost;
-  }
-  return a;
-}
-
-double TopOverlapFraction(const linalg::Vector& x, const linalg::Vector& y,
-                          std::size_t t) {
-  const auto tx = TopKIndices(x, t);
-  const auto ty = TopKIndices(y, t);
-  const std::set<std::size_t> sx(tx.begin(), tx.end());
-  std::size_t hits = 0;
-  for (std::size_t i : ty) hits += sx.count(i);
-  return static_cast<double>(hits) / static_cast<double>(t);
-}
-
-TEST(LeverageTest, SketchRecoversExactTopFeatures) {
-  // The sketched scores must select (almost) the same principal features
-  // as the exact SVD path: >= 95% top-50 overlap on a planted group
-  // matrix, for several constructions.
-  for (std::uint64_t seed : {5u, 17u, 99u}) {
-    const linalg::Matrix a = PlantedGroupMatrix(4000, 60, 70, seed);
-    LeverageOptions exact;
-    exact.allow_gram_fast_path = false;
-    const auto exact_scores = ComputeLeverageScores(a, exact);
-    ASSERT_TRUE(exact_scores.ok());
-
-    LeverageOptions sketch;
-    sketch.sketch = true;
-    LeverageDiagnostics diag;
-    sketch.diagnostics = &diag;
-    const auto sketch_scores = ComputeLeverageScores(a, sketch);
-    ASSERT_TRUE(sketch_scores.ok()) << sketch_scores.status();
-    EXPECT_TRUE(diag.used_sketch);
-    EXPECT_FALSE(diag.used_gram_fast_path);
-    EXPECT_GE(TopOverlapFraction(*exact_scores, *sketch_scores, 50), 0.95)
-        << "seed " << seed;
-  }
-}
-
-TEST(LeverageTest, SketchIsDeterministicInTheSeed) {
-  const linalg::Matrix a = PlantedGroupMatrix(1500, 40, 50, 7);
-  LeverageOptions sketch;
-  sketch.sketch = true;
-  const auto first = ComputeLeverageScores(a, sketch);
-  const auto second = ComputeLeverageScores(a, sketch);
-  ASSERT_TRUE(first.ok() && second.ok());
-  for (std::size_t i = 0; i < first->size(); ++i) {
-    ASSERT_EQ((*first)[i], (*second)[i]) << "row " << i;
-  }
-  sketch.sketch_seed ^= 1;
-  const auto reseeded = ComputeLeverageScores(a, sketch);
-  ASSERT_TRUE(reseeded.ok());
-  bool any_differs = false;
-  for (std::size_t i = 0; i < first->size(); ++i) {
-    if ((*first)[i] != (*reseeded)[i]) any_differs = true;
-  }
-  EXPECT_TRUE(any_differs);
-}
-
 TEST(LeverageTest, SvdPathReportsQrPreconditioning) {
   Rng rng(41);
   // Tall enough for the thin-QR SVD fast path (rows >= 1.6 * cols) but not
@@ -236,7 +151,6 @@ TEST(LeverageTest, SvdPathReportsQrPreconditioning) {
   const auto scores = ComputeLeverageScores(a, options);
   ASSERT_TRUE(scores.ok());
   EXPECT_FALSE(diag.used_gram_fast_path);
-  EXPECT_FALSE(diag.used_sketch);
   EXPECT_TRUE(diag.svd_qr_preconditioned);
 }
 
@@ -523,31 +437,6 @@ TEST(KnnRegressionTest, DuplicateDistanceTieBreakIsIndexOrdered) {
     // training index 0 — for every k.
     EXPECT_EQ((*predicted)[0], 5) << "k=" << k;
   }
-}
-
-TEST_F(AttackTest, SketchModeMatchesExactIdentificationRate) {
-  // The whole attack fitted on sketched leverage scores must identify at
-  // least as well as the exact fit on this cohort (the rank-truncated
-  // sketch discards noise directions, so it can only help here). Both
-  // runs are fully seeded, so the rates are stable across platforms.
-  AttackOptions exact_opts;
-  exact_opts.num_features = 60;
-  const auto exact_attack = DeanonymizationAttack::Fit(known_, exact_opts);
-  ASSERT_TRUE(exact_attack.ok());
-  const auto exact_result = exact_attack->Identify(anonymous_);
-  ASSERT_TRUE(exact_result.ok());
-
-  AttackOptions sketch_opts;
-  sketch_opts.num_features = 60;
-  sketch_opts.leverage.sketch = true;
-  const auto sketch_attack = DeanonymizationAttack::Fit(known_, sketch_opts);
-  ASSERT_TRUE(sketch_attack.ok());
-  const auto sketch_result = sketch_attack->Identify(anonymous_);
-  ASSERT_TRUE(sketch_result.ok());
-
-  EXPECT_EQ(sketch_attack->selected_features().size(), 60u);
-  EXPECT_GE(exact_result->accuracy, 0.9);
-  EXPECT_GE(sketch_result->accuracy, exact_result->accuracy);
 }
 
 }  // namespace

@@ -7,6 +7,7 @@
 // while fail-fast surfaces the lowest-index subject's error.
 
 #include <cmath>
+#include <cstring>
 #include <limits>
 #include <string>
 #include <vector>
@@ -641,6 +642,42 @@ TEST(FaultInjectionServiceTest, FaultedProbeIsScreenedUnderSkipPolicy) {
   }
 }
 
+TEST(FaultInjectionServiceTest, SingleProbeIsBatchProbeZero) {
+  // Identify runs its probe as a one-column batch, so `service.probe#0`
+  // poisons it exactly as it poisons batch probe 0, under every policy,
+  // while a rule keyed to another probe never reaches it.
+  const auto gallery = ServiceGallery();
+  auto reference = service::MakeSyntheticGallerySlice(gallery, 0, 0, 22);
+  auto probes = service::MakeSyntheticGallerySlice(gallery, 1, 0, 6);
+  ASSERT_TRUE(reference.ok() && probes.ok());
+  for (const FailurePolicy& policy :
+       {FailurePolicy::FailFast(), FailurePolicy::SkipAndReport()}) {
+    SCOPED_TRACE(FailureModeName(policy.mode));
+    service::IndexOptions options;
+    options.num_features = 24;
+    options.failure_policy = policy;
+    auto index = service::IdentificationIndex::Create(*reference, options);
+    ASSERT_TRUE(index.ok()) << index.status();
+    {
+      fault::ScopedSchedule schedule("service.probe#0=nan");
+      ASSERT_TRUE(schedule.status().ok());
+      BatchReport report;
+      const auto batch = index->IdentifyBatch(*probes, &report);
+      ASSERT_EQ(report.failed.size(), 1u);
+      EXPECT_EQ(report.failed[0].index, 0u);
+      EXPECT_EQ(report.failed[0].status.code(), StatusCode::kCorruptData);
+      EXPECT_EQ(batch.ok(), policy.mode != FailureMode::kFailFast);
+      const auto single = index->Identify(probes->SubjectColumn(0));
+      EXPECT_EQ(single.status().code(), StatusCode::kCorruptData);
+    }
+    fault::ScopedSchedule schedule("service.probe#1=nan");
+    ASSERT_TRUE(schedule.status().ok());
+    const auto single = index->Identify(probes->SubjectColumn(1));
+    ASSERT_TRUE(single.ok()) << single.status();
+    EXPECT_EQ(single->subject_id, probes->subject_ids()[1]);
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Out-of-core fault points: `io.stream` (file-backed tile reads) and
 // `io.spill` (spill-file append / read-back).
@@ -781,6 +818,28 @@ TEST_F(FaultInjectionPipelineTest, SpillFaultFailsBoundedBatch) {
       preprocess::RunPipelineBatch(source, 3, {}, atlas_, config);
   ASSERT_FALSE(batch.ok());
   EXPECT_EQ(batch.status().code(), StatusCode::kIOError);
+
+  // Resident runs are read in place and never spilled: the vector overload
+  // under the same schedule succeeds, bit-equal to a clean run.
+  const auto resident = preprocess::RunPipelineBatch(runs_, {}, atlas_, config);
+  ASSERT_TRUE(resident.ok()) << resident.status();
+  config.fault.schedule.clear();
+  const auto clean = preprocess::RunPipelineBatch(runs_, {}, atlas_, config);
+  ASSERT_TRUE(clean.ok()) << clean.status();
+  EXPECT_EQ(resident->indices, clean->indices);
+  EXPECT_EQ(resident->report.ToString(), clean->report.ToString());
+  ASSERT_EQ(resident->outputs.size(), 3u);
+  ASSERT_EQ(clean->outputs.size(), 3u);
+  for (std::size_t k = 0; k < 3; ++k) {
+    const linalg::Matrix& got = resident->outputs[k].region_series;
+    const linalg::Matrix& want = clean->outputs[k].region_series;
+    ASSERT_EQ(got.rows(), want.rows());
+    ASSERT_EQ(got.cols(), want.cols());
+    EXPECT_EQ(std::memcmp(got.data(), want.data(),
+                          got.rows() * got.cols() * sizeof(double)),
+              0)
+        << "run " << k;
+  }
 }
 
 }  // namespace

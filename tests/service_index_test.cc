@@ -144,44 +144,55 @@ TEST(ServiceIndexTest, SingleProbeMatchesBatch) {
     EXPECT_EQ(single->subject_id, batch->matches[j].subject_id);
     EXPECT_EQ(single->similarity, batch->matches[j].similarity);
     EXPECT_EQ(single->margin, batch->matches[j].margin);
+    EXPECT_EQ(single->candidates_scanned,
+              batch->matches[j].candidates_scanned);
   }
 }
 
 TEST(ServiceIndexTest, EdgeCaseStatuses) {
   const auto gallery = SmallGallery(6, 24);
-  auto index = MakeIndex(gallery, 6);
-  ASSERT_TRUE(index.ok());
-
-  // Duplicate enrollment.
   auto ref = MakeSyntheticGallery(gallery, 0);
   ASSERT_TRUE(ref.ok());
-  const Status dup = index->Enroll(SyntheticSubjectId(0), ref->SubjectColumn(0));
-  EXPECT_EQ(dup.code(), StatusCode::kAlreadyExists);
+  // A single probe is a one-column batch: a screened-out probe returns its
+  // own status under skip-and-report too, never an OK empty match.
+  for (const FailurePolicy& policy :
+       {FailurePolicy::FailFast(), FailurePolicy::SkipAndReport()}) {
+    SCOPED_TRACE(FailureModeName(policy.mode));
+    IndexOptions options;
+    options.failure_policy = policy;
+    auto index = MakeIndex(gallery, 6, options);
+    ASSERT_TRUE(index.ok());
 
-  // Removing an id that was never enrolled.
-  EXPECT_EQ(index->Remove("nobody").code(), StatusCode::kNotFound);
+    // Duplicate enrollment.
+    const Status dup =
+        index->Enroll(SyntheticSubjectId(0), ref->SubjectColumn(0));
+    EXPECT_EQ(dup.code(), StatusCode::kAlreadyExists);
 
-  // Dimension mismatch on enroll and probe.
-  const linalg::Vector short_column(3, 0.5);
-  EXPECT_EQ(index->Enroll("new", short_column).code(),
-            StatusCode::kInvalidArgument);
-  EXPECT_EQ(index->Identify(short_column).status().code(),
-            StatusCode::kInvalidArgument);
+    // Removing an id that was never enrolled.
+    EXPECT_EQ(index->Remove("nobody").code(), StatusCode::kNotFound);
 
-  // Non-finite probe.
-  linalg::Vector bad = ref->SubjectColumn(0);
-  bad[1] = std::numeric_limits<double>::quiet_NaN();
-  EXPECT_EQ(index->Identify(bad).status().code(), StatusCode::kCorruptData);
+    // Dimension mismatch on enroll and probe.
+    const linalg::Vector short_column(3, 0.5);
+    EXPECT_EQ(index->Enroll("new", short_column).code(),
+              StatusCode::kInvalidArgument);
+    EXPECT_EQ(index->Identify(short_column).status().code(),
+              StatusCode::kInvalidArgument);
 
-  // Empty gallery: a clean FailedPrecondition, not an assert.
-  for (const std::string& id : index->EnrolledIds()) {
-    ASSERT_TRUE(index->Remove(id).ok());
+    // Non-finite probe.
+    linalg::Vector bad = ref->SubjectColumn(0);
+    bad[1] = std::numeric_limits<double>::quiet_NaN();
+    EXPECT_EQ(index->Identify(bad).status().code(), StatusCode::kCorruptData);
+
+    // Empty gallery: a clean FailedPrecondition, not an assert.
+    for (const std::string& id : index->EnrolledIds()) {
+      ASSERT_TRUE(index->Remove(id).ok());
+    }
+    EXPECT_EQ(index->size(), 0u);
+    EXPECT_EQ(index->Identify(ref->SubjectColumn(0)).status().code(),
+              StatusCode::kFailedPrecondition);
+    EXPECT_EQ(index->IdentifyBatch(*ref).status().code(),
+              StatusCode::kFailedPrecondition);
   }
-  EXPECT_EQ(index->size(), 0u);
-  EXPECT_EQ(index->Identify(ref->SubjectColumn(0)).status().code(),
-            StatusCode::kFailedPrecondition);
-  EXPECT_EQ(index->IdentifyBatch(*ref).status().code(),
-            StatusCode::kFailedPrecondition);
 }
 
 TEST(ServiceIndexTest, StalenessCountsMutationsAndRefreshResets) {
