@@ -13,10 +13,9 @@ namespace neuroprint::connectome {
 namespace {
 
 constexpr char kMagic[4] = {'N', 'P', 'G', 'M'};
-// v1: no checksum. v2 appends crc32c(value bytes) after the payload;
-// writers emit v2, readers accept both.
+// v2 appends crc32c(value bytes) after the payload; it is the only
+// version read or written.
 constexpr std::uint32_t kVersion = 2;
-constexpr std::uint32_t kMinVersion = 1;
 constexpr std::size_t kCrcTrailerBytes = 4;
 
 // Bounds protecting the reader from allocating absurd sizes on corrupt
@@ -62,11 +61,10 @@ Result<NpgmHeader> ParseNpgmHeader(std::ifstream& in,
       !ReadLE(in, header.subjects)) {
     return Status::CorruptData("truncated group-matrix header: " + path);
   }
-  if (header.version < kMinVersion || header.version > kVersion) {
+  if (header.version != kVersion) {
     return Status::Unimplemented(
         StrFormat("unsupported group-matrix version %u", header.version));
   }
-  header.has_crc = header.version >= 2;
   if (header.features == 0 || header.features > kMaxFeatures ||
       header.subjects == 0 || header.subjects > kMaxSubjects) {
     return Status::CorruptData("implausible group-matrix dimensions");
@@ -85,7 +83,7 @@ Result<NpgmHeader> ParseNpgmHeader(std::ifstream& in,
   }
 
   // The payload must account for exactly features x subjects doubles
-  // (plus the v2 checksum trailer): fewer means truncation, more means
+  // plus the checksum trailer: fewer means truncation, more means
   // trailing garbage or a header whose counts disagree with the data —
   // all kCorruptData, and all caught before allocating `features * 8`
   // bytes against a file that cannot hold them.
@@ -98,7 +96,7 @@ Result<NpgmHeader> ParseNpgmHeader(std::ifstream& in,
   const std::uint64_t expected =
       header.features * static_cast<std::uint64_t>(sizeof(double)) *
           header.subjects +
-      (header.has_crc ? kCrcTrailerBytes : 0);
+      kCrcTrailerBytes;
   const std::uint64_t available =
       static_cast<std::uint64_t>(file_end - data_begin);
   if (available < expected) {
@@ -118,11 +116,9 @@ Result<NpgmHeader> ParseNpgmHeader(std::ifstream& in,
         static_cast<unsigned long long>(header.features),
         static_cast<unsigned long long>(header.subjects)));
   }
-  if (header.has_crc) {
-    in.seekg(file_end - static_cast<std::streamoff>(kCrcTrailerBytes));
-    if (!ReadLE(in, header.value_crc)) {
-      return Status::CorruptData("unreadable group-matrix checksum: " + path);
-    }
+  in.seekg(file_end - static_cast<std::streamoff>(kCrcTrailerBytes));
+  if (!ReadLE(in, header.value_crc)) {
+    return Status::CorruptData("unreadable group-matrix checksum: " + path);
   }
   in.clear();
   in.seekg(data_begin);
@@ -222,15 +218,13 @@ Result<GroupMatrix> ReadGroupMatrix(const std::string& path) {
                  static_cast<std::streamsize>(encoded.size()))) {
       return Status::CorruptData("truncated group-matrix values");
     }
-    if (header.has_crc) {
-      computed_crc = crc32c::Extend(computed_crc, encoded.data(),
-                                    encoded.size());
-    }
+    computed_crc =
+        crc32c::Extend(computed_crc, encoded.data(), encoded.size());
     for (std::uint64_t i = 0; i < header.features; ++i) {
       columns[j][i] = ReadLE<double>(encoded.data() + i * sizeof(double));
     }
   }
-  if (header.has_crc && computed_crc != header.value_crc) {
+  if (computed_crc != header.value_crc) {
     // Bit rot (or a torn copy) inside the value payload: the dimensions
     // all line up but the bytes are not the ones the writer checksummed.
     return Status::CorruptData(StrFormat(

@@ -6,17 +6,18 @@
 //   magic "NPGM" | u32 version | u64 features | u64 subjects |
 //   per subject: u32 id_length, id bytes |
 //   features*subjects f64 values (column-major: subject by subject) |
-//   u32 crc32c(value bytes)                                  (v2 only)
+//   u32 crc32c(value bytes)
 //
 // Writers produce v2 and are crash-safe: bytes land in `path + ".tmp"`
 // and the finished file is fsynced and renamed into place
 // (util/journal.h AtomicFileWriter), so a crash mid-write can never
 // leave a truncated NPGM under the real name — readers see the old file
-// or the complete new one. ReadGroupMatrix verifies the v2 value
-// checksum (CorruptData on mismatch) and still accepts checksum-less v1
-// files; FileMatrixStore seeks tiles on demand and therefore cannot
-// affordably checksum the whole payload at Open — it relies on the
-// exact-size check plus the atomic-publish contract.
+// or the complete new one. ReadGroupMatrix verifies the value checksum
+// (CorruptData on mismatch); any other version, including the
+// checksum-less v1, is Unimplemented. FileMatrixStore seeks tiles on
+// demand and therefore cannot affordably checksum the whole payload at
+// Open — it relies on the exact-size check plus the atomic-publish
+// contract.
 
 #ifndef NEUROPRINT_CONNECTOME_GROUP_MATRIX_IO_H_
 #define NEUROPRINT_CONNECTOME_GROUP_MATRIX_IO_H_
@@ -92,10 +93,9 @@ struct NpgmHeader {
   std::uint64_t subjects = 0;
   std::vector<std::string> subject_ids;
   std::uint64_t data_offset = 0;
-  /// v2 files: crc32c of the value payload, from the trailer (meaningful
-  /// only when has_crc). Full-file readers verify it; the tile-seeking
-  /// FileMatrixStore documents that it does not.
-  bool has_crc = false;
+  /// crc32c of the value payload, from the trailer. Full-file readers
+  /// verify it; the tile-seeking FileMatrixStore documents that it does
+  /// not.
   std::uint32_t value_crc = 0;
 };
 

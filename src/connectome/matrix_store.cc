@@ -64,9 +64,9 @@ Result<std::unique_ptr<FileMatrixStore>> FileMatrixStore::Open(
   if (!in) return Status::IOError("cannot open: " + path);
   internal::NpgmHeader header;
   NP_ASSIGN_OR_RETURN(header, internal::ParseNpgmHeader(in, path));
-  // The header parse validated the exact payload size (including the v2
+  // The header parse validated the exact payload size (including the
   // checksum trailer), and writers publish atomically, so tiles can seek
-  // freely; the v2 value checksum is NOT verified here — that would mean
+  // freely; the value checksum is NOT verified here — that would mean
   // reading the whole payload at Open, defeating the streaming point.
   // Full-file consumers (ReadGroupMatrix) do verify it.
   auto store = std::unique_ptr<FileMatrixStore>(new FileMatrixStore());

@@ -7,6 +7,7 @@
 #include <cstring>
 #include <fstream>
 #include <limits>
+#include <optional>
 
 #include "nifti/nifti_stream.h"
 #include "util/fault.h"
@@ -15,44 +16,28 @@
 namespace neuroprint::nifti {
 namespace {
 
-// Applies a fired buffer-capable injection point to decoded bytes or
-// voxels: kError propagates, kCorrupt scrambles in place, kNaN (floats
-// only) poisons every value.
-Status ApplyBufferInjection(const fault::Injection& injection,
-                            std::vector<std::uint8_t>& bytes) {
-  switch (injection.action) {
-    case fault::Action::kNone:
-      return Status::OK();
-    case fault::Action::kError:
-      return injection.status;
-    case fault::Action::kCorrupt:
-      fault::ScrambleBytes(injection.seed, bytes.data(), bytes.size());
-      return Status::OK();
-    case fault::Action::kNaN:
-      return Status::Internal(
-          "fault action 'nan' is not supported on raw byte buffers");
-    case fault::Action::kTorn:
-    case fault::Action::kCrash:
-      return Status::Internal(
-          std::string("fault action '") + fault::ActionName(injection.action) +
-          "' targets the durable writers, not read paths");
-  }
-  return Status::OK();
-}
+// 1032:1 is deflate's maximum expansion (a 258-byte match costs at least
+// two bits), so no gzip file, concatenated members included, inflates to
+// more than this many bytes per compressed byte.
+constexpr std::uint64_t kMaxDeflateRatio = 1032;
 
-Status ApplyVoxelInjection(const fault::Injection& injection,
-                           std::vector<float>& voxels) {
+// Plaintext bytes discarded per read when skipping forward.
+constexpr std::size_t kSkipChunk = 64u << 10;
+
+// Applies a fired `nifti.decode_voxels` injection to decoded voxels:
+// kError propagates, kCorrupt scrambles in place, kNaN poisons every value.
+Status ApplyVoxelInjection(const fault::Injection& injection, float* voxels,
+                           std::size_t count) {
   switch (injection.action) {
     case fault::Action::kNone:
       return Status::OK();
     case fault::Action::kError:
       return injection.status;
     case fault::Action::kCorrupt:
-      fault::ScrambleBytes(injection.seed, voxels.data(),
-                           voxels.size() * sizeof(float));
+      fault::ScrambleBytes(injection.seed, voxels, count * sizeof(float));
       return Status::OK();
     case fault::Action::kNaN:
-      std::fill(voxels.begin(), voxels.end(),
+      std::fill(voxels, voxels + count,
                 std::numeric_limits<float>::quiet_NaN());
       return Status::OK();
     case fault::Action::kTorn:
@@ -64,47 +49,92 @@ Status ApplyVoxelInjection(const fault::Injection& injection,
   return Status::OK();
 }
 
-// ---------------------------------------------------------------------------
-// Raw / gzip file slurping
-
-Result<std::vector<std::uint8_t>> ReadWholeFile(const std::string& path) {
-  std::ifstream file(path, std::ios::binary | std::ios::ate);
-  if (!file) return Status::IOError("cannot open: " + path);
-  const std::streamsize size = file.tellg();
-  file.seekg(0);
-  std::vector<std::uint8_t> bytes(static_cast<std::size_t>(size));
-  if (size > 0 &&
-      !file.read(reinterpret_cast<char*>(bytes.data()), size)) {
-    return Status::IOError("read failed: " + path);
+// One forward pass over a .nii (plain ifstream) or .nii.gz
+// (GzipStreamReader). Read fills as much of the request as the data
+// holds; a short count means the data ended.
+class ForwardSource {
+ public:
+  static Result<ForwardSource> Open(const std::string& path) {
+    ForwardSource source;
+    source.path_ = path;
+    source.file_.open(path, std::ios::binary | std::ios::ate);
+    if (!source.file_) return Status::IOError("cannot open: " + path);
+    source.file_size_ = static_cast<std::uint64_t>(source.file_.tellg());
+    source.file_.seekg(0);
+    std::uint8_t magic[2] = {0, 0};
+    source.file_.read(reinterpret_cast<char*>(magic), 2);
+    if (source.file_.gcount() == 2 && magic[0] == 0x1f && magic[1] == 0x8b) {
+      source.file_.close();
+      auto gzip = GzipStreamReader::Open(path);
+      if (!gzip.ok()) return gzip.status();
+      source.gzip_.emplace(std::move(gzip).value());
+    } else {
+      source.file_.clear();
+      source.file_.seekg(0);
+    }
+    return source;
   }
-  return bytes;
-}
 
-bool LooksGzipped(const std::vector<std::uint8_t>& bytes) {
-  return bytes.size() >= 2 && bytes[0] == 0x1f && bytes[1] == 0x8b;
-}
+  bool gzipped() const { return gzip_.has_value(); }
 
-Result<std::vector<std::uint8_t>> GunzipFile(const std::string& path) {
-  // Streamed inflation (nifti_stream.h): bounded 64 KiB input window, and
-  // truncation / corruption surface with exact bytes-consumed accounting
-  // instead of gzread's opaque failure.
-  auto reader = GzipStreamReader::Open(path);
-  if (!reader.ok()) return reader.status();
-  std::vector<std::uint8_t> out;
-  std::vector<std::uint8_t> chunk(1 << 20);
-  while (true) {
-    auto n = reader->Read(chunk.data(), chunk.size());
-    if (!n.ok()) return n.status();
-    if (*n == 0) break;
-    out.insert(out.end(), chunk.begin(),
-               chunk.begin() + static_cast<std::ptrdiff_t>(*n));
+  /// The most plaintext the file can hold: its size when raw, the
+  /// deflate expansion bound when gzipped.
+  std::uint64_t plaintext_bound() const {
+    if (!gzipped()) return file_size_;
+    constexpr std::uint64_t kMaxCompressed =
+        std::numeric_limits<std::uint64_t>::max() / kMaxDeflateRatio;
+    return std::min(file_size_, kMaxCompressed) * kMaxDeflateRatio;
   }
-  if (fault::Enabled()) {
-    NP_RETURN_IF_ERROR(
-        ApplyBufferInjection(fault::Hit("io.gzip_inflate"), out));
+
+  Result<std::size_t> Read(std::uint8_t* out, std::size_t count) {
+    if (!gzipped()) {
+      file_.read(reinterpret_cast<char*>(out),
+                 static_cast<std::streamsize>(count));
+      if (file_.bad()) return Status::IOError("read failed: " + path_);
+      return static_cast<std::size_t>(file_.gcount());
+    }
+    std::size_t filled = 0;
+    while (filled < count) {
+      auto got = gzip_->Read(out + filled, count - filled);
+      if (!got.ok()) return got.status();
+      if (*got == 0) break;
+      filled += *got;
+    }
+    return filled;
   }
-  return out;
-}
+
+  /// Reads and discards up to `count` bytes; returns how many there were.
+  Result<std::uint64_t> Skip(std::uint64_t count) {
+    std::vector<std::uint8_t> scratch(
+        static_cast<std::size_t>(std::min<std::uint64_t>(count, kSkipChunk)));
+    std::uint64_t skipped = 0;
+    while (skipped < count) {
+      const std::size_t want = static_cast<std::size_t>(
+          std::min<std::uint64_t>(scratch.size(), count - skipped));
+      std::size_t got = 0;
+      NP_ASSIGN_OR_RETURN(got, Read(scratch.data(), want));
+      skipped += got;
+      if (got < want) break;
+    }
+    return skipped;
+  }
+
+  /// For gzip, inflates whatever follows the voxel data so a damaged
+  /// trailer (CRC, length, truncation) is CorruptData; raw files have
+  /// nothing to check.
+  Status CheckCleanEnd() {
+    if (!gzipped()) return Status::OK();
+    return Skip(std::numeric_limits<std::uint64_t>::max()).status();
+  }
+
+ private:
+  ForwardSource() = default;
+
+  std::string path_;
+  std::ifstream file_;
+  std::uint64_t file_size_ = 0;
+  std::optional<GzipStreamReader> gzip_;
+};
 
 Status WriteBytes(const std::string& path, const std::vector<std::uint8_t>& bytes,
                   bool gzip) {
@@ -149,23 +179,39 @@ double DecodeValue(const std::uint8_t* src, bool swap) {
   return static_cast<double>(value);
 }
 
-Status DecodeVoxels(const std::vector<std::uint8_t>& bytes,
-                    std::size_t offset, const NiftiHeader& header, bool swap,
-                    std::vector<float>& out) {
-  const Result<std::size_t> count_result = header.VoxelCount();
-  if (!count_result.ok()) return count_result.status();
-  const std::size_t count = *count_result;
-  const Result<int> bits = BitsPerVoxel(header.datatype);
-  if (!bits.ok()) return bits.status();
-  const std::size_t voxel_bytes = static_cast<std::size_t>(*bits) / 8;
-  if (offset + count * voxel_bytes > bytes.size()) {
-    return Status::CorruptData(StrFormat(
-        "NIfTI voxel data truncated: need %zu bytes at offset %zu, have %zu",
-        count * voxel_bytes, offset, bytes.size()));
+// Decodes `count` voxels of `voxel_bytes` each, encoded per
+// header.datatype (byte-swapped when `swap`), applying scl_slope /
+// scl_inter, into out[0..count).
+void DecodeVoxelSpan(const std::uint8_t* src, std::size_t count,
+                     std::size_t voxel_bytes, const NiftiHeader& header,
+                     bool swap, float* out) {
+  // scl_slope == 0 means "no scaling" per the NIfTI spec.
+  const double slope =
+      header.scl_slope != 0.0f ? static_cast<double>(header.scl_slope) : 1.0;
+  const double inter =
+      header.scl_slope != 0.0f ? static_cast<double>(header.scl_inter) : 0.0;
+
+  for (std::size_t i = 0; i < count; ++i, src += voxel_bytes) {
+    double raw = 0.0;
+    switch (header.datatype) {
+      case DataType::kUint8:
+        raw = static_cast<double>(*src);
+        break;
+      case DataType::kInt16:
+        raw = DecodeValue<std::int16_t>(src, swap);
+        break;
+      case DataType::kInt32:
+        raw = DecodeValue<std::int32_t>(src, swap);
+        break;
+      case DataType::kFloat32:
+        raw = DecodeValue<float>(src, swap);
+        break;
+      case DataType::kFloat64:
+        raw = DecodeValue<double>(src, swap);
+        break;
+    }
+    out[i] = static_cast<float>(slope * raw + inter);
   }
-  out.resize(count);
-  return internal::DecodeVoxelSpan(bytes.data() + offset, count, header, swap,
-                                   out.data());
 }
 
 // ---------------------------------------------------------------------------
@@ -206,80 +252,85 @@ void IntegerScaling(const std::vector<float>& data, double type_min,
 
 }  // namespace
 
-namespace internal {
-
-Status DecodeVoxelSpan(const std::uint8_t* src, std::size_t count,
-                       const NiftiHeader& header, bool swap, float* out) {
-  const Result<int> bits = BitsPerVoxel(header.datatype);
-  if (!bits.ok()) return bits.status();
-  const std::size_t voxel_bytes = static_cast<std::size_t>(*bits) / 8;
-  // scl_slope == 0 means "no scaling" per the NIfTI spec.
-  const double slope =
-      header.scl_slope != 0.0f ? static_cast<double>(header.scl_slope) : 1.0;
-  const double inter =
-      header.scl_slope != 0.0f ? static_cast<double>(header.scl_inter) : 0.0;
-
-  for (std::size_t i = 0; i < count; ++i, src += voxel_bytes) {
-    double raw = 0.0;
-    switch (header.datatype) {
-      case DataType::kUint8:
-        raw = static_cast<double>(*src);
-        break;
-      case DataType::kInt16:
-        raw = DecodeValue<std::int16_t>(src, swap);
-        break;
-      case DataType::kInt32:
-        raw = DecodeValue<std::int32_t>(src, swap);
-        break;
-      case DataType::kFloat32:
-        raw = DecodeValue<float>(src, swap);
-        break;
-      case DataType::kFloat64:
-        raw = DecodeValue<double>(src, swap);
-        break;
-    }
-    out[i] = static_cast<float>(slope * raw + inter);
-  }
-  return Status::OK();
-}
-
-}  // namespace internal
-
 Result<NiftiImage> ReadNifti(const std::string& path) {
   NP_FAULT_POINT("nifti.read");
-  Result<std::vector<std::uint8_t>> raw = ReadWholeFile(path);
-  if (!raw.ok()) return raw.status();
-  std::vector<std::uint8_t> bytes = std::move(raw).value();
-  if (LooksGzipped(bytes)) {
-    Result<std::vector<std::uint8_t>> inflated = GunzipFile(path);
-    if (!inflated.ok()) return inflated.status();
-    bytes = std::move(inflated).value();
-  }
+  Result<ForwardSource> opened = ForwardSource::Open(path);
+  if (!opened.ok()) return opened.status();
+  ForwardSource& source = *opened;
 
+  std::vector<std::uint8_t> header_bytes(kNiftiHeaderSize);
+  std::size_t header_read = 0;
+  NP_ASSIGN_OR_RETURN(header_read,
+                      source.Read(header_bytes.data(), header_bytes.size()));
+  header_bytes.resize(header_read);  // Short: DecodeHeader reports it.
   bool swapped = false;
-  Result<NiftiHeader> header_result = DecodeHeader(bytes, &swapped);
-  if (!header_result.ok()) return header_result.status();
+  Result<NiftiHeader> header_result = DecodeHeader(header_bytes, &swapped);
+  if (!header_result.ok()) {
+    // Damage to the gzip stream itself outranks what its header says.
+    NP_RETURN_IF_ERROR(source.CheckCleanEnd());
+    return header_result.status();
+  }
   const NiftiHeader& header = *header_result;
 
-  std::vector<float> voxels;
-  NP_RETURN_IF_ERROR(DecodeVoxels(
-      bytes, static_cast<std::size_t>(header.vox_offset), header, swapped,
-      voxels));
-  if (fault::Enabled()) {
-    NP_RETURN_IF_ERROR(
-        ApplyVoxelInjection(fault::Hit("nifti.decode_voxels"), voxels));
+  // DecodeHeader validated dim[], so the count cannot overflow, and
+  // dims past the fourth are 1.
+  const std::size_t count = *header.VoxelCount();
+  const std::size_t voxel_bytes =
+      static_cast<std::size_t>(*BitsPerVoxel(header.datatype)) / 8;
+  const std::uint64_t data_offset =
+      static_cast<std::uint64_t>(header.vox_offset);
+  // Bound the header's claim by what the file can hold before allocating
+  // anything for it.
+  const std::uint64_t bound = source.plaintext_bound();
+  if (data_offset > bound || count > (bound - data_offset) / voxel_bytes) {
+    return Status::CorruptData(StrFormat(
+        "NIfTI voxel data truncated: need %llu bytes at offset %llu, the "
+        "%s file holds at most %llu",
+        static_cast<unsigned long long>(count) * voxel_bytes,
+        static_cast<unsigned long long>(data_offset),
+        source.gzipped() ? "gzip" : "raw",
+        static_cast<unsigned long long>(bound)));
+  }
+  std::uint64_t skipped = 0;
+  NP_ASSIGN_OR_RETURN(skipped, source.Skip(data_offset - header_read));
+  if (skipped != data_offset - header_read) {
+    return Status::CorruptData(StrFormat(
+        "NIfTI voxel data truncated: data ends at %llu bytes, before "
+        "vox_offset %llu",
+        static_cast<unsigned long long>(header_read + skipped),
+        static_cast<unsigned long long>(data_offset)));
   }
 
   const std::size_t nx = static_cast<std::size_t>(header.dim[1]);
   const std::size_t ny = header.dim[0] >= 2 ? static_cast<std::size_t>(header.dim[2]) : 1;
   const std::size_t nz = header.dim[0] >= 3 ? static_cast<std::size_t>(header.dim[3]) : 1;
   const std::size_t nt = header.dim[0] >= 4 ? static_cast<std::size_t>(header.dim[4]) : 1;
-
   NiftiImage image;
   image.header = header;
   image.data = image::Volume4D(nx, ny, nz, nt);
-  NP_CHECK_EQ(image.data.size(), voxels.size());
-  std::copy(voxels.begin(), voxels.end(), image.data.data());
+  // One frame of encoded bytes at a time, decoded straight into place.
+  const std::size_t frame_voxels = nx * ny * nz;
+  std::vector<std::uint8_t> encoded(frame_voxels * voxel_bytes);
+  for (std::size_t t = 0; t < nt; ++t) {
+    std::size_t got = 0;
+    NP_ASSIGN_OR_RETURN(got, source.Read(encoded.data(), encoded.size()));
+    if (got != encoded.size()) {
+      return Status::CorruptData(StrFormat(
+          "NIfTI voxel data truncated: need %llu bytes at offset %llu, "
+          "have %llu",
+          static_cast<unsigned long long>(count) * voxel_bytes,
+          static_cast<unsigned long long>(data_offset),
+          static_cast<unsigned long long>(t * encoded.size() + got)));
+    }
+    DecodeVoxelSpan(encoded.data(), frame_voxels, voxel_bytes, header, swapped,
+                    image.data.VolumePtr(t));
+  }
+  NP_RETURN_IF_ERROR(source.CheckCleanEnd());
+  if (fault::Enabled()) {
+    NP_RETURN_IF_ERROR(ApplyVoxelInjection(fault::Hit("nifti.decode_voxels"),
+                                           image.data.data(),
+                                           image.data.size()));
+  }
   image.data.spacing().dx_mm = header.pixdim[1];
   image.data.spacing().dy_mm = header.pixdim[2];
   image.data.spacing().dz_mm = header.pixdim[3];

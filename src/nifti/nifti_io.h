@@ -23,7 +23,11 @@ struct NiftiImage {
 };
 
 /// Reads a .nii or .nii.gz file (gzip detected by magic bytes, not the
-/// extension). Returns CorruptData / Unimplemented / IOError on failure.
+/// extension) in one forward pass: the header is validated first, and
+/// its voxel byte count is checked against what the file can hold (its
+/// size, or 1032x its size when gzipped) before anything is allocated;
+/// frames then decode one at a time straight into the result. Returns
+/// CorruptData / Unimplemented / IOError on failure.
 Result<NiftiImage> ReadNifti(const std::string& path);
 
 struct WriteOptions {
@@ -47,17 +51,6 @@ Status WriteNifti(const std::string& path, const image::Volume4D& volume,
 /// Convenience overload for a single 3-D volume.
 Status WriteNifti3D(const std::string& path, const image::Volume3D& volume,
                     const WriteOptions& options = {});
-
-namespace internal {
-
-/// Decodes `count` voxels encoded per `header.datatype` (byte-swapped when
-/// `swap`) from `src`, applying scl_slope / scl_inter, into out[0..count).
-/// Shared by the whole-file and streamed readers so both produce
-/// bit-identical floats. The caller guarantees `src` holds enough bytes.
-Status DecodeVoxelSpan(const std::uint8_t* src, std::size_t count,
-                       const NiftiHeader& header, bool swap, float* out);
-
-}  // namespace internal
 
 }  // namespace neuroprint::nifti
 

@@ -7,7 +7,6 @@
 #include <limits>
 #include <utility>
 
-#include "util/fault.h"
 #include "util/string_util.h"
 
 namespace neuroprint::nifti {
@@ -19,9 +18,6 @@ namespace {
 constexpr std::size_t kInputChunk = 64u << 10;
 
 }  // namespace
-
-// ---------------------------------------------------------------------------
-// GzipStreamReader
 
 GzipStreamReader::GzipStreamReader(GzipStreamReader&& other) noexcept =
     default;
@@ -152,185 +148,6 @@ Result<std::size_t> GzipStreamReader::Read(std::uint8_t* out,
         static_cast<unsigned long long>(decoded_bytes_), path_.c_str()));
   }
   return produced;
-}
-
-// ---------------------------------------------------------------------------
-// NiftiStreamReader
-
-Result<NiftiStreamReader> NiftiStreamReader::Open(const std::string& path) {
-  NP_FAULT_POINT("nifti.read");
-  NiftiStreamReader reader;
-  reader.path_ = path;
-  {
-    std::ifstream probe(path, std::ios::binary);
-    if (!probe) return Status::IOError("cannot open: " + path);
-    std::uint8_t magic[2] = {0, 0};
-    probe.read(reinterpret_cast<char*>(magic), 2);
-    reader.gzipped_ =
-        probe.gcount() == 2 && magic[0] == 0x1f && magic[1] == 0x8b;
-  }
-
-  std::vector<std::uint8_t> header_bytes(kNiftiHeaderSize);
-  if (reader.gzipped_) {
-    auto gz = GzipStreamReader::Open(path);
-    if (!gz.ok()) return gz.status();
-    reader.gzip_ =
-        std::make_unique<GzipStreamReader>(std::move(gz).value());
-    std::size_t filled = 0;
-    while (filled < header_bytes.size()) {
-      auto got = reader.gzip_->Read(header_bytes.data() + filled,
-                                    header_bytes.size() - filled);
-      if (!got.ok()) return got.status();
-      if (*got == 0) break;  // Short header: DecodeHeader reports it.
-      filled += *got;
-    }
-    header_bytes.resize(filled);
-    reader.gzip_plain_pos_ = filled;
-  } else {
-    reader.raw_.open(path, std::ios::binary);
-    if (!reader.raw_) return Status::IOError("cannot open: " + path);
-    reader.raw_.read(reinterpret_cast<char*>(header_bytes.data()),
-                     static_cast<std::streamsize>(header_bytes.size()));
-    header_bytes.resize(static_cast<std::size_t>(reader.raw_.gcount()));
-    reader.raw_.clear();
-  }
-
-  auto header = DecodeHeader(header_bytes, &reader.swapped_);
-  if (!header.ok()) return header.status();
-  reader.header_ = std::move(header).value();
-
-  reader.nx_ = static_cast<std::size_t>(reader.header_.dim[1]);
-  reader.ny_ = reader.header_.dim[0] >= 2
-                   ? static_cast<std::size_t>(reader.header_.dim[2])
-                   : 1;
-  reader.nz_ = reader.header_.dim[0] >= 3
-                   ? static_cast<std::size_t>(reader.header_.dim[3])
-                   : 1;
-  reader.nt_ = reader.header_.dim[0] >= 4
-                   ? static_cast<std::size_t>(reader.header_.dim[4])
-                   : 1;
-  const Result<int> bits = BitsPerVoxel(reader.header_.datatype);
-  if (!bits.ok()) return bits.status();
-  reader.voxel_bytes_ = static_cast<std::size_t>(*bits) / 8;
-  reader.data_offset_ =
-      static_cast<std::uint64_t>(reader.header_.vox_offset);
-  return reader;
-}
-
-image::VoxelSpacing NiftiStreamReader::spacing() const {
-  image::VoxelSpacing s;
-  s.dx_mm = header_.pixdim[1];
-  s.dy_mm = header_.pixdim[2];
-  s.dz_mm = header_.pixdim[3];
-  s.tr_seconds = header_.pixdim[4];
-  return s;
-}
-
-Status NiftiStreamReader::GzipSeekTo(std::uint64_t offset) {
-  if (gzip_ == nullptr || offset < gzip_plain_pos_) {
-    // Backwards seek: gzip streams only inflate forward, so reopen and
-    // decode up to the target again.
-    auto reopened = GzipStreamReader::Open(path_);
-    if (!reopened.ok()) return reopened.status();
-    gzip_ = std::make_unique<GzipStreamReader>(std::move(reopened).value());
-    gzip_plain_pos_ = 0;
-  }
-  std::vector<std::uint8_t> skip(kInputChunk);
-  while (gzip_plain_pos_ < offset) {
-    const std::size_t want = static_cast<std::size_t>(
-        std::min<std::uint64_t>(skip.size(), offset - gzip_plain_pos_));
-    auto got = gzip_->Read(skip.data(), want);
-    if (!got.ok()) return got.status();
-    if (*got == 0) {
-      return Status::CorruptData(StrFormat(
-          "NIfTI voxel data truncated: gzip stream ended at %llu bytes, "
-          "frame data expected at %llu: %s",
-          static_cast<unsigned long long>(gzip_plain_pos_),
-          static_cast<unsigned long long>(offset), path_.c_str()));
-    }
-    gzip_plain_pos_ += *got;
-  }
-  return Status::OK();
-}
-
-Status NiftiStreamReader::ReadFrame(std::size_t t, std::vector<float>* out) {
-  if (t >= nt_) {
-    return Status::InvalidArgument(StrFormat(
-        "NiftiStreamReader: frame %zu out of range (%zu frames)", t, nt_));
-  }
-  const std::size_t count = frame_voxels();
-  const std::uint64_t frame_bytes =
-      static_cast<std::uint64_t>(count) * voxel_bytes_;
-  const std::uint64_t offset =
-      data_offset_ + static_cast<std::uint64_t>(t) * frame_bytes;
-  encoded_.resize(static_cast<std::size_t>(frame_bytes));
-
-  if (gzipped_) {
-    NP_RETURN_IF_ERROR(GzipSeekTo(offset));
-    std::size_t filled = 0;
-    while (filled < encoded_.size()) {
-      auto got =
-          gzip_->Read(encoded_.data() + filled, encoded_.size() - filled);
-      if (!got.ok()) return got.status();
-      if (*got == 0) {
-        return Status::CorruptData(StrFormat(
-            "NIfTI voxel data truncated: need %zu bytes at offset %llu, "
-            "have %zu",
-            static_cast<std::size_t>(frame_bytes),
-            static_cast<unsigned long long>(offset), filled));
-      }
-      filled += *got;
-      gzip_plain_pos_ += *got;
-    }
-  } else {
-    raw_.seekg(static_cast<std::streamoff>(offset));
-    raw_.read(reinterpret_cast<char*>(encoded_.data()),
-              static_cast<std::streamsize>(encoded_.size()));
-    if (!raw_) {
-      raw_.clear();
-      return Status::CorruptData(StrFormat(
-          "NIfTI voxel data truncated: need %zu bytes at offset %llu",
-          static_cast<std::size_t>(frame_bytes),
-          static_cast<unsigned long long>(offset)));
-    }
-  }
-
-  out->resize(count);
-  return internal::DecodeVoxelSpan(encoded_.data(), count, header_, swapped_,
-                                   out->data());
-}
-
-// ---------------------------------------------------------------------------
-// ReadNiftiStreamed
-
-Result<NiftiImage> ReadNiftiStreamed(const std::string& path) {
-  auto reader = NiftiStreamReader::Open(path);
-  if (!reader.ok()) return reader.status();
-
-  NiftiImage image;
-  image.header = reader->header();
-  image.data = image::Volume4D(reader->nx(), reader->ny(), reader->nz(),
-                               reader->nt());
-  std::vector<float> frame;
-  for (std::size_t t = 0; t < reader->nt(); ++t) {
-    NP_RETURN_IF_ERROR(reader->ReadFrame(t, &frame));
-    std::copy(frame.begin(), frame.end(), image.data.VolumePtr(t));
-  }
-  if (fault::Enabled()) {
-    // Same injection surface as ReadNifti's voxel buffer, applied to the
-    // assembled volume so schedules behave identically on both readers.
-    const fault::Injection injection = fault::Hit("nifti.decode_voxels");
-    if (injection.action == fault::Action::kError) return injection.status;
-    if (injection.action == fault::Action::kCorrupt) {
-      fault::ScrambleBytes(injection.seed, image.data.data(),
-                           image.data.size() * sizeof(float));
-    } else if (injection.action == fault::Action::kNaN) {
-      std::fill(image.data.data(), image.data.data() + image.data.size(),
-                std::numeric_limits<float>::quiet_NaN());
-    }
-  }
-  image.data.spacing() = reader->spacing();
-  return image;
 }
 
 }  // namespace neuroprint::nifti

@@ -1,19 +1,11 @@
-// Streamed NIfTI access: chunked gzip inflation with bytes-consumed
-// accounting and a frame-at-a-time volume reader, so a 4-D run never has
-// to materialize compressed bytes, plaintext, and voxels side by side.
+// Chunked gzip inflation with bytes-consumed accounting: the gzip layer
+// under ReadNifti (nifti_io.h), which decodes a .nii.gz in one forward
+// pass without ever holding the compressed bytes or the whole plaintext.
 //
-// GzipStreamReader is the robustness workhorse: it inflates through a
-// fixed 64 KiB input window and reports truncation with exact counts —
-// a clean Z_STREAM_END is end-of-data, anything short of it is
-// CorruptData naming how many compressed bytes were consumed and how
-// many plaintext bytes came out. GunzipFile and the whole-file NIfTI
-// reader sit on top of it, so every gzip path in the library shares one
-// truncation story.
-//
-// NiftiStreamReader decodes one frame (3-D sub-volume) at a time:
-// uncompressed files seek directly, gzipped files inflate forward and
-// transparently reopen to seek backwards. Frames decode bit-identically
-// to the corresponding span of ReadNifti's voxels.
+// GzipStreamReader inflates through a fixed 64 KiB input window and
+// reports truncation with exact counts: a clean Z_STREAM_END is
+// end-of-data, and anything short of it is CorruptData naming how many
+// compressed bytes were consumed and how many plaintext bytes came out.
 
 #ifndef NEUROPRINT_NIFTI_NIFTI_STREAM_H_
 #define NEUROPRINT_NIFTI_NIFTI_STREAM_H_
@@ -24,8 +16,6 @@
 #include <string>
 #include <vector>
 
-#include "image/volume.h"
-#include "nifti/nifti_header.h"
 #include "nifti/nifti_io.h"
 #include "util/status.h"
 
@@ -81,64 +71,13 @@ class GzipStreamReader {
   std::uint64_t decoded_bytes_ = 0;
 };
 
-/// Frame-at-a-time NIfTI reader: Open parses and validates the header
-/// (and only the header), ReadFrame decodes one 3-D frame's voxels with
-/// the same scl scaling as ReadNifti. One frame of floats plus one input
-/// chunk is the whole resident set.
-class NiftiStreamReader {
- public:
-  /// Opens `path` (.nii or .nii.gz, detected by magic bytes) and decodes
-  /// the header. CorruptData / Unimplemented / IOError as ReadNifti.
-  static Result<NiftiStreamReader> Open(const std::string& path);
-
-  NiftiStreamReader(NiftiStreamReader&&) = default;
-  NiftiStreamReader& operator=(NiftiStreamReader&&) = default;
-
-  const NiftiHeader& header() const { return header_; }
-  std::size_t nx() const { return nx_; }
-  std::size_t ny() const { return ny_; }
-  std::size_t nz() const { return nz_; }
-  std::size_t nt() const { return nt_; }
-  /// Voxels per frame (nx * ny * nz).
-  std::size_t frame_voxels() const { return nx_ * ny_ * nz_; }
-  image::VoxelSpacing spacing() const;
-
-  /// Decodes frame `t` into `out` (resized to frame_voxels()). Frames may
-  /// be read in any order; on a gzipped file a backwards seek reopens and
-  /// re-inflates from the start. Truncation surfaces as CorruptData with
-  /// the GzipStreamReader byte accounting (gzip) or the ReadNifti
-  /// need/have message (raw).
-  Status ReadFrame(std::size_t t, std::vector<float>* out);
-
- private:
-  NiftiStreamReader() = default;
-
-  /// Advances the gzip plaintext cursor to `offset` (absolute), reopening
-  /// when the cursor is already past it.
-  Status GzipSeekTo(std::uint64_t offset);
-
-  std::string path_;
-  NiftiHeader header_;
-  bool swapped_ = false;
-  bool gzipped_ = false;
-  std::size_t nx_ = 1, ny_ = 1, nz_ = 1, nt_ = 1;
-  std::size_t voxel_bytes_ = 0;
-  std::uint64_t data_offset_ = 0;
-
-  /// Raw backend.
-  std::ifstream raw_;
-  /// Gzip backend: forward-only cursor over the plaintext.
-  std::unique_ptr<GzipStreamReader> gzip_;
-  std::uint64_t gzip_plain_pos_ = 0;
-
-  /// Per-frame encoded scratch, kept across calls to avoid churn.
-  std::vector<std::uint8_t> encoded_;
-};
-
-/// Whole-image convenience on the streamed path: bit-identical NiftiImage
-/// to ReadNifti, but the compressed bytes and plaintext are never both
-/// resident (frames decode one at a time into the final volume).
-Result<NiftiImage> ReadNiftiStreamed(const std::string& path);
+/// Deprecated spelling of ReadNifti, kept only because the benchmark's
+/// raw_attack workload (perfbench/raw_attack.cc) still calls it; the next
+/// change to the benchmark switches that call to ReadNifti and deletes
+/// this.
+inline Result<NiftiImage> ReadNiftiStreamed(const std::string& path) {
+  return ReadNifti(path);
+}
 
 }  // namespace neuroprint::nifti
 

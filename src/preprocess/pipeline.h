@@ -140,8 +140,8 @@ Result<PipelineBatchOutput> RunPipelineBatch(
     const std::vector<std::string>& ids, const atlas::Atlas& atlas,
     const PipelineConfig& config);
 
-/// Produces run `i` on demand — e.g. decode one NIfTI at a time via
-/// nifti::NiftiStreamReader — so a cohort never has to materialize as a
+/// Produces run `i` on demand — e.g. read one NIfTI at a time via
+/// nifti::ReadNifti — so a cohort never has to materialize as a
 /// vector of volumes. A returned error fails that run (stage "load")
 /// under the batch failure policy, like any pipeline failure.
 using RunSource = std::function<Result<image::Volume4D>(std::size_t)>;

@@ -194,33 +194,6 @@ Result<IdentificationIndex> IdentificationIndex::Create(
   return index;
 }
 
-Status IdentificationIndex::EnrollLocked(const std::string& subject_id,
-                                         const linalg::Vector& full_features,
-                                         std::uint64_t fault_key) {
-  if (full_features.size() != full_feature_count_) {
-    return Status::InvalidArgument(StrFormat(
-        "Enroll: subject %s has %zu features, index holds %zu",
-        subject_id.c_str(), full_features.size(), full_feature_count_));
-  }
-  linalg::Vector column = full_features;
-  NP_RETURN_IF_ERROR(StageColumn("service.enroll", fault_key, "Enroll: subject",
-                                 subject_id, &column));
-  if (Contains(subject_id)) {
-    return Status::AlreadyExists(
-        StrFormat("Enroll: subject %s already enrolled", subject_id.c_str()));
-  }
-  // Write-ahead: the screened column reaches the journal before any
-  // shard changes; a journal error leaves the index bit-unchanged.
-  if (journal_ != nullptr) {
-    std::vector<PendingEnroll> pending(1);
-    pending[0].id = &subject_id;
-    pending[0].column = &column;
-    NP_RETURN_IF_ERROR(JournalEnrolls(pending));
-  }
-  CommitEnroll(subject_id, std::move(column));
-  return Status::OK();
-}
-
 void IdentificationIndex::CommitEnroll(const std::string& subject_id,
                                        linalg::Vector column,
                                        linalg::Vector fingerprint) {
@@ -245,10 +218,15 @@ Status IdentificationIndex::Enroll(const std::string& subject_id,
   fault::ScopedSchedule fault_schedule(options_.fault.schedule);
   NP_RETURN_IF_ERROR(fault_schedule.status());
   NP_TRACE_SCOPE("service.enroll");
-  NP_RETURN_IF_ERROR(
-      EnrollLocked(subject_id, full_features, SubjectHash(subject_id)));
-  metrics::Count("service.enrolls", 1);
-  metrics::SetGauge("service.gallery_size", static_cast<double>(size_));
+  connectome::GroupMatrix subject;
+  NP_ASSIGN_OR_RETURN(subject, connectome::GroupMatrix::FromFeatureColumns(
+                                   {full_features}, {subject_id}));
+  BatchReport report;
+  const Status status = EnrollColumns(
+      connectome::InMemoryMatrixStore(subject), &report, /*window_cols=*/0);
+  // A screened-out subject fails with its own status under every policy.
+  if (!report.failed.empty()) return report.failed.front().status;
+  NP_RETURN_IF_ERROR(status);
   NP_RETURN_IF_ERROR(MaybeAutoRefresh());
   return MaybeCompact();
 }

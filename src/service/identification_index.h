@@ -240,9 +240,13 @@ class IdentificationIndex {
   }
 
   /// Enrolls one subject (full-feature column, same space the index was
-  /// fitted on). Fails with AlreadyExists for a duplicate id,
-  /// InvalidArgument for a dimension mismatch, CorruptData for
-  /// non-finite values. May trigger an automatic sketch refresh.
+  /// fitted on): an adapter that runs EnrollBatch's staged enroll on a
+  /// one-column batch, so it journals the same single-subject record.
+  /// Fails with AlreadyExists for a duplicate id, InvalidArgument for a
+  /// dimension mismatch, CorruptData for non-finite values; a subject the
+  /// screen drops (including faults at `service.enroll`, key 0) fails
+  /// with its own status under every failure policy. May trigger an
+  /// automatic sketch refresh.
   Status Enroll(const std::string& subject_id,
                 const linalg::Vector& full_features);
 
@@ -384,9 +388,6 @@ class IdentificationIndex {
 
   IdentificationIndex() = default;
 
-  Status EnrollLocked(const std::string& subject_id,
-                      const linalg::Vector& full_features,
-                      std::uint64_t fault_key);
   /// Inserts a screened subject into its shard — the commit half of
   /// every enroll path; cannot fail. An empty `fingerprint` is derived
   /// from `column`.
@@ -405,9 +406,14 @@ class IdentificationIndex {
   /// Checkpoint() when the journal has outgrown the compaction trigger.
   Status MaybeCompact();
   Result<std::vector<std::uint8_t>> SerializeSnapshot() const;
-  /// The staged enroll behind Create, EnrollBatch and EnrollStream:
-  /// screens every column of `subjects` (in windows of `window_cols`),
-  /// resolves the batch, journals the survivors, then commits them.
+  /// Serializes the index, atomically publishes it at `path` and counts
+  /// the save: the one publish step behind SaveSnapshot, CreateDurable and
+  /// Checkpoint. Returns the bytes written.
+  Result<std::uint64_t> PublishSnapshot(const std::string& path) const;
+  /// The staged enroll behind Create, Enroll, EnrollBatch and
+  /// EnrollStream: screens every column of `subjects` (in windows of
+  /// `window_cols`), resolves the batch, journals the survivors, then
+  /// commits them.
   Status EnrollColumns(const connectome::MatrixStore& subjects,
                        BatchReport* report, std::size_t window_cols);
   linalg::Vector MakeFingerprint(const linalg::Vector& full_features) const;

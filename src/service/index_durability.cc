@@ -193,14 +193,19 @@ Result<std::vector<std::uint8_t>> IdentificationIndex::SerializeSnapshot()
   return image;
 }
 
-Status IdentificationIndex::SaveSnapshot(const std::string& path) const {
+Result<std::uint64_t> IdentificationIndex::PublishSnapshot(
+    const std::string& path) const {
   std::vector<std::uint8_t> image;
   NP_ASSIGN_OR_RETURN(image, SerializeSnapshot());
   NP_RETURN_IF_ERROR(AtomicWriteFile(path, image.data(), image.size()));
   metrics::Count("service.snapshot_saves", 1);
   metrics::SetGauge("service.snapshot_bytes",
                     static_cast<double>(image.size()));
-  return Status::OK();
+  return static_cast<std::uint64_t>(image.size());
+}
+
+Status IdentificationIndex::SaveSnapshot(const std::string& path) const {
+  return PublishSnapshot(path).status();
 }
 
 Result<IdentificationIndex> IdentificationIndex::OpenFromSnapshot(
@@ -462,14 +467,8 @@ Result<IdentificationIndex> IdentificationIndex::CreateDurable(
   // (Commit never ran) but should not accumulate.
   std::filesystem::remove(index.snapshot_path_ + ".tmp", ec);
 
-  std::vector<std::uint8_t> image;
-  NP_ASSIGN_OR_RETURN(image, index.SerializeSnapshot());
-  NP_RETURN_IF_ERROR(
-      AtomicWriteFile(index.snapshot_path_, image.data(), image.size()));
-  index.snapshot_bytes_ = image.size();
-  metrics::Count("service.snapshot_saves", 1);
-  metrics::SetGauge("service.snapshot_bytes",
-                    static_cast<double>(image.size()));
+  NP_ASSIGN_OR_RETURN(index.snapshot_bytes_,
+                      index.PublishSnapshot(index.snapshot_path_));
 
   // A fresh journal: Open at offset 0 truncates whatever a previous
   // incarnation left (its state is superseded by the snapshot above).
@@ -543,14 +542,7 @@ Status IdentificationIndex::Checkpoint() {
     return Status::FailedPrecondition(
         "Checkpoint: index has no journal (CreateDurable/OpenDurable)");
   }
-  std::vector<std::uint8_t> image;
-  NP_ASSIGN_OR_RETURN(image, SerializeSnapshot());
-  NP_RETURN_IF_ERROR(
-      AtomicWriteFile(snapshot_path_, image.data(), image.size()));
-  snapshot_bytes_ = image.size();
-  metrics::Count("service.snapshot_saves", 1);
-  metrics::SetGauge("service.snapshot_bytes",
-                    static_cast<double>(image.size()));
+  NP_ASSIGN_OR_RETURN(snapshot_bytes_, PublishSnapshot(snapshot_path_));
   // Crash window: the snapshot is published but the journal still holds
   // the records it absorbed. Safe — replay skips already-present enrolls
   // and already-absent removes, so the next open converges to the same

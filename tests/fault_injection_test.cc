@@ -678,6 +678,61 @@ TEST(FaultInjectionServiceTest, SingleProbeIsBatchProbeZero) {
   }
 }
 
+TEST(FaultInjectionServiceTest, SingleEnrollIsBatchItemZero) {
+  // Enroll runs its subject as a one-column batch, so `service.enroll#0`
+  // reaches it exactly as it reaches batch item 0, and under every policy
+  // the call fails with the subject's own status and leaves the index
+  // untouched. The old per-subject key (the id hash) no longer matches.
+  const auto gallery = ServiceGallery();
+  auto reference = service::MakeSyntheticGallerySlice(gallery, 0, 0, 12);
+  auto tail = service::MakeSyntheticGallerySlice(gallery, 0, 12, 22);
+  ASSERT_TRUE(reference.ok() && tail.ok());
+  const std::string id = tail->subject_ids()[0];
+  const linalg::Vector column = tail->SubjectColumn(0);
+  for (const FailurePolicy& policy :
+       {FailurePolicy::FailFast(), FailurePolicy::SkipAndReport(),
+        FailurePolicy::Quorum(0.5)}) {
+    SCOPED_TRACE(FailureModeName(policy.mode));
+    service::IndexOptions options;
+    options.num_features = 24;
+    options.failure_policy = policy;
+    auto index = service::IdentificationIndex::Create(*reference, options);
+    ASSERT_TRUE(index.ok()) << index.status();
+    const std::string before = index->DebugStateString();
+    {
+      fault::ScopedSchedule schedule(
+          "service.enroll#0=error:IOError:injected scanner fault");
+      ASSERT_TRUE(schedule.status().ok());
+      const Status status = index->Enroll(id, column);
+      EXPECT_EQ(status.code(), StatusCode::kIOError);
+      EXPECT_EQ(status.message(), "injected scanner fault");
+    }
+    {
+      fault::ScopedSchedule schedule("service.enroll#0=nan");
+      ASSERT_TRUE(schedule.status().ok());
+      EXPECT_EQ(index->Enroll(id, column).code(), StatusCode::kCorruptData);
+    }
+    // The screen's own verdicts keep their codes too.
+    linalg::Vector poisoned = column;
+    poisoned[3] = std::numeric_limits<double>::infinity();
+    EXPECT_EQ(index->Enroll(id, poisoned).code(), StatusCode::kCorruptData);
+    EXPECT_EQ(index->Enroll(reference->subject_ids()[0],
+                            reference->SubjectColumn(0))
+                  .code(),
+              StatusCode::kAlreadyExists);
+    EXPECT_EQ(index->Enroll(id, linalg::Vector(5, 1.0)).code(),
+              StatusCode::kInvalidArgument);
+    EXPECT_EQ(index->DebugStateString(), before);
+
+    fault::ScopedSchedule schedule(
+        "service.enroll#1=nan;service.enroll#" +
+        std::to_string(service::SubjectHash(id)) + "=nan");
+    ASSERT_TRUE(schedule.status().ok());
+    ASSERT_TRUE(index->Enroll(id, column).ok());
+    EXPECT_TRUE(index->Contains(id));
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Out-of-core fault points: `io.stream` (file-backed tile reads) and
 // `io.spill` (spill-file append / read-back).

@@ -12,6 +12,7 @@
 
 #include "connectome/group_matrix_io.h"
 #include "connectome/matrix_store.h"
+#include "util/crc32c.h"
 #include "util/random.h"
 
 namespace neuroprint::connectome {
@@ -144,17 +145,17 @@ TEST(GroupMatrixIoTest, AtomicWriteLeavesNoTempBehind) {
       << "writer left its publish temp behind";
 }
 
-// Hand-crafts an NPGM file whose header promises `subjects` columns with
-// matching ids but whose payload holds `payload_columns` columns of
-// `features` doubles each. Little-endian host assumed (as the sibling
-// hand-crafting tests do).
+// Hand-crafts a v2 NPGM file whose header promises `subjects` columns
+// with matching ids but whose payload holds `payload_columns` columns of
+// `features` doubles each, followed by the crc32c trailer of that payload.
+// Little-endian host assumed (as the sibling hand-crafting tests do).
 std::string CraftMismatchedFile(const std::string& name,
                                 std::uint64_t features, std::uint64_t subjects,
                                 std::uint64_t payload_columns) {
   const std::string path = TempPath(name);
   std::ofstream out(path, std::ios::binary);
   out.write("NPGM", 4);
-  const std::uint32_t version = 1;
+  const std::uint32_t version = 2;
   out.write(reinterpret_cast<const char*>(&version), 4);
   out.write(reinterpret_cast<const char*>(&features), 8);
   out.write(reinterpret_cast<const char*>(&subjects), 8);
@@ -165,9 +166,12 @@ std::string CraftMismatchedFile(const std::string& name,
     out.write(&id, 1);
   }
   const double value = 1.5;
+  std::uint32_t crc = 0;
   for (std::uint64_t i = 0; i < payload_columns * features; ++i) {
     out.write(reinterpret_cast<const char*>(&value), 8);
+    crc = crc32c::Extend(crc, &value, 8);
   }
+  out.write(reinterpret_cast<const char*>(&crc), 4);
   return path;
 }
 
@@ -209,13 +213,30 @@ TEST(GroupMatrixIoTest, RejectsImplausibleDimensions) {
   const std::string path = TempPath("group_huge.npgm");
   std::ofstream out(path, std::ios::binary);
   out.write("NPGM", 4);
-  const std::uint32_t version = 1;
+  const std::uint32_t version = 2;
   const std::uint64_t features = 1ull << 40, subjects = 1;
   out.write(reinterpret_cast<const char*>(&version), 4);
   out.write(reinterpret_cast<const char*>(&features), 8);
   out.write(reinterpret_cast<const char*>(&subjects), 8);
+  const std::uint32_t empty_payload_crc = 0;  // crc32c of no bytes
+  out.write(reinterpret_cast<const char*>(&empty_payload_crc), 4);
   out.close();
   EXPECT_EQ(ReadGroupMatrix(path).status().code(), StatusCode::kCorruptData);
+}
+
+TEST(GroupMatrixIoTest, VersionOneIsUnimplemented) {
+  // A consistent file except for its version field: the checksum-less v1
+  // layout is no longer read, by either reader.
+  const std::string path = CraftMismatchedFile("group_v1.npgm", 4, 2, 2);
+  ASSERT_TRUE(ReadGroupMatrix(path).ok());
+  std::fstream patch(path, std::ios::binary | std::ios::in | std::ios::out);
+  const std::uint32_t version = 1;
+  patch.seekp(4);
+  patch.write(reinterpret_cast<const char*>(&version), 4);
+  patch.close();
+  EXPECT_EQ(ReadGroupMatrix(path).status().code(), StatusCode::kUnimplemented);
+  EXPECT_EQ(FileMatrixStore::Open(path).status().code(),
+            StatusCode::kUnimplemented);
 }
 
 // Truncates the file at `path` to `keep` bytes (helper for the

@@ -3,11 +3,13 @@
 
 #include <array>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <limits>
 #include <vector>
 
 #include <gtest/gtest.h>
+#include <zlib.h>
 
 #include "nifti/nifti_header.h"
 #include "nifti/nifti_io.h"
@@ -219,6 +221,14 @@ TEST(NiftiIoTest, MissingFileGivesIOError) {
   EXPECT_EQ(image.status().code(), StatusCode::kIOError);
 }
 
+TEST(NiftiIoTest, DirectoryPathGivesIOError) {
+  // A directory opens like a file but cannot be read; its size is no
+  // file size, so nothing may be allocated from it.
+  const auto image = ReadNifti(::testing::TempDir());
+  EXPECT_FALSE(image.ok());
+  EXPECT_EQ(image.status().code(), StatusCode::kIOError);
+}
+
 TEST(NiftiIoTest, TruncatedVoxelDataRejected) {
   Rng rng(88);
   const image::Volume4D run = MakeTestRun(8, 8, 8, 3, rng);
@@ -288,23 +298,105 @@ TEST(NiftiRobustnessTest, CorruptedMagicRejected) {
   EXPECT_EQ(image.status().code(), StatusCode::kCorruptData);
 }
 
+// Gzips `bytes` into `path` as one complete stream, so crafted headers
+// can be tested on the .nii.gz path too.
+void GzipAllBytes(const std::string& path, const std::vector<char>& bytes) {
+  gzFile gz = gzopen(path.c_str(), "wb6");
+  ASSERT_NE(gz, nullptr) << path;
+  ASSERT_EQ(gzwrite(gz, bytes.data(), static_cast<unsigned>(bytes.size())),
+            static_cast<int>(bytes.size()));
+  ASSERT_EQ(gzclose(gz), Z_OK);
+}
+
+// Writes `bytes` to `stem`.nii raw and to `stem`.nii.gz gzipped and
+// returns both paths, so each robustness case runs over both encodings.
+std::vector<std::string> WriteRawAndGzip(const std::string& stem,
+                                         const std::vector<char>& bytes) {
+  const std::string raw = TempPath(stem + ".nii");
+  const std::string gz = TempPath(stem + ".nii.gz");
+  WriteAllBytes(raw, bytes);
+  GzipAllBytes(gz, bytes);
+  return {raw, gz};
+}
+
 TEST(NiftiRobustnessTest, AbsurdDimsRejected) {
   Rng rng(101);
   const image::Volume4D run = MakeTestRun(4, 4, 4, 2, rng);
-  const std::string path = TempPath("absurd_dims.nii");
+  const std::string path = TempPath("absurd_dims_src.nii");
   ASSERT_TRUE(WriteNifti(path, run).ok());
 
   // dim[] lives at offset 40 as 8 int16s. Claim a 32767^4-voxel image on
-  // a few-KB file: the reader must reject it instead of allocating.
+  // a few-KB file (or a ~100-byte .nii.gz): the reader must reject it
+  // against the file's size instead of allocating.
   std::vector<char> bytes = ReadAllBytes(path);
   for (std::size_t d = 1; d <= 4; ++d) {
     bytes[40 + 2 * d] = '\xff';
     bytes[40 + 2 * d + 1] = '\x7f';
   }
-  WriteAllBytes(path, bytes);
-  const auto image = ReadNifti(path);
-  ASSERT_FALSE(image.ok());
-  EXPECT_EQ(image.status().code(), StatusCode::kCorruptData);
+  for (const std::string& file : WriteRawAndGzip("absurd_dims", bytes)) {
+    const auto image = ReadNifti(file);
+    ASSERT_FALSE(image.ok()) << file;
+    EXPECT_EQ(image.status().code(), StatusCode::kCorruptData) << file;
+  }
+}
+
+TEST(NiftiRobustnessTest, VoxOffsetPastEndOfFileRejected) {
+  Rng rng(103);
+  const image::Volume4D run = MakeTestRun(4, 4, 4, 2, rng);
+  const std::string path = TempPath("far_offset_src.nii");
+  ASSERT_TRUE(WriteNifti(path, run).ok());
+  std::vector<char> bytes = ReadAllBytes(path);
+  // vox_offset is a float at offset 108. Past the end by 1000 bytes: the
+  // raw file fails the size bound; the gzipped one (Gaussian voxels barely
+  // compress, so the 1032:1 bound admits it) runs out while skipping.
+  const float offset = static_cast<float>(bytes.size() + 1000);
+  std::memcpy(bytes.data() + 108, &offset, sizeof(offset));
+  for (const std::string& file : WriteRawAndGzip("far_offset", bytes)) {
+    const auto image = ReadNifti(file);
+    ASSERT_FALSE(image.ok()) << file;
+    EXPECT_EQ(image.status().code(), StatusCode::kCorruptData) << file;
+    EXPECT_NE(image.status().message().find("truncated"), std::string::npos)
+        << image.status();
+  }
+}
+
+TEST(NiftiRobustnessTest, HeaderTruncatedInsideStreamRejected) {
+  Rng rng(107);
+  const image::Volume4D run = MakeTestRun(4, 4, 4, 2, rng);
+  const std::string path = TempPath("short_header_src.nii");
+  ASSERT_TRUE(WriteNifti(path, run).ok());
+  std::vector<char> bytes = ReadAllBytes(path);
+
+  // Raw: the file ends 148 bytes into the 348-byte header.
+  const std::string raw = TempPath("short_header.nii");
+  WriteAllBytes(raw, std::vector<char>(bytes.begin(), bytes.begin() + 200));
+  const auto raw_image = ReadNifti(raw);
+  ASSERT_FALSE(raw_image.ok());
+  EXPECT_EQ(raw_image.status().code(), StatusCode::kCorruptData);
+
+  // Gzip: the compressed stream is cut before it inflates a whole header.
+  const std::string whole = TempPath("short_header_whole.nii.gz");
+  GzipAllBytes(whole, bytes);
+  const std::string cut = TempPath("short_header.nii.gz");
+  std::vector<char> compressed = ReadAllBytes(whole);
+  ASSERT_GT(compressed.size(), 24u);
+  compressed.resize(24);
+  WriteAllBytes(cut, compressed);
+  {
+    // Precondition: the cut really falls inside the header's plaintext.
+    auto reader = GzipStreamReader::Open(cut);
+    ASSERT_TRUE(reader.ok());
+    std::vector<std::uint8_t> buffer(kNiftiHeaderSize);
+    const auto got = reader->Read(buffer.data(), buffer.size());
+    EXPECT_FALSE(got.ok());
+    EXPECT_LT(reader->decoded_bytes(), kNiftiHeaderSize);
+  }
+  const auto gz_image = ReadNifti(cut);
+  ASSERT_FALSE(gz_image.ok());
+  EXPECT_EQ(gz_image.status().code(), StatusCode::kCorruptData);
+  EXPECT_NE(gz_image.status().message().find("compressed bytes consumed"),
+            std::string::npos)
+      << gz_image.status();
 }
 
 TEST(NiftiHeaderTest, DimProductOverflowRejected) {
@@ -498,8 +590,9 @@ TEST(GzipStreamTest, ConcatenatedMembersDecodeSeamlessly) {
 }
 
 TEST(NiftiRobustnessTest, WholeFileGzipTruncationNamesBytesConsumed) {
-  // The whole-file reader sits on the same chunked decoder, so its
-  // truncation error carries the consumed/decoded accounting too.
+  // ReadNifti inflates through the chunked decoder, so its truncation
+  // error carries the consumed/decoded accounting — also when only the
+  // gzip trailer is cut, after every voxel byte has decoded.
   Rng rng(115);
   const image::Volume4D run = MakeTestRun(8, 8, 8, 3, rng);
   const std::string path = TempPath("gz_accounting.nii.gz");
@@ -507,25 +600,15 @@ TEST(NiftiRobustnessTest, WholeFileGzipTruncationNamesBytesConsumed) {
   options.compression = WriteOptions::Compression::kAlways;
   ASSERT_TRUE(WriteNifti(path, run, options).ok());
   const std::size_t size = FileSize(path);
-  const std::string cut = TempPath("gz_accounting_cut.nii.gz");
-  TruncateFile(path, cut, size * 6 / 10);
-  const auto image = ReadNifti(cut);
-  ASSERT_FALSE(image.ok());
-  EXPECT_EQ(image.status().code(), StatusCode::kCorruptData);
-  EXPECT_NE(image.status().message().find("compressed bytes consumed"),
-            std::string::npos)
-      << image.status();
-  // The streamed reader reports the same class of failure.
-  auto streamed = NiftiStreamReader::Open(cut);
-  if (streamed.ok()) {
-    std::vector<float> frame;
-    Status status = Status::OK();
-    for (std::size_t t = 0; t < streamed->nt() && status.ok(); ++t) {
-      status = streamed->ReadFrame(t, &frame);
-    }
-    EXPECT_EQ(status.code(), StatusCode::kCorruptData);
-  } else {
-    EXPECT_EQ(streamed.status().code(), StatusCode::kCorruptData);
+  for (const std::size_t keep : {size * 6 / 10, size - 1}) {
+    const std::string cut = TempPath("gz_accounting_cut.nii.gz");
+    TruncateFile(path, cut, keep);
+    const auto image = ReadNifti(cut);
+    ASSERT_FALSE(image.ok()) << "keep=" << keep;
+    EXPECT_EQ(image.status().code(), StatusCode::kCorruptData);
+    EXPECT_NE(image.status().message().find("compressed bytes consumed"),
+              std::string::npos)
+        << image.status();
   }
 }
 

@@ -17,8 +17,6 @@
 #include "connectome/matrix_store.h"
 #include "core/attack.h"
 #include "core/leverage.h"
-#include "nifti/nifti_io.h"
-#include "nifti/nifti_stream.h"
 #include "preprocess/pipeline.h"
 #include "service/identification_index.h"
 #include "service/synthetic_gallery.h"
@@ -677,65 +675,6 @@ TEST_F(BoundedPipelineTest, NullSourceIsInvalidArgument) {
                                                 atlas_, FastConfig());
   ASSERT_FALSE(got.ok());
   EXPECT_EQ(got.status().code(), StatusCode::kInvalidArgument);
-}
-
-// --- Streamed NIfTI decode --------------------------------------------------
-
-image::Volume4D MakeTestVolume() {
-  image::Volume4D volume(5, 4, 3, 6);
-  volume.spacing().dx_mm = 2.0;
-  volume.spacing().dy_mm = 2.0;
-  volume.spacing().dz_mm = 2.5;
-  volume.spacing().tr_seconds = 0.8;
-  std::size_t n = 0;
-  for (float& v : volume.flat()) {
-    v = static_cast<float>(n % 97) * 0.5f - 10.0f;
-    ++n;
-  }
-  return volume;
-}
-
-TEST(NiftiStreamTest, StreamedReadMatchesWholeFileReader) {
-  const image::Volume4D volume = MakeTestVolume();
-  for (const bool gzip : {false, true}) {
-    const std::string path =
-        TempPath(gzip ? "ooc_stream.nii.gz" : "ooc_stream.nii");
-    ASSERT_TRUE(nifti::WriteNifti(path, volume).ok());
-    const auto whole = nifti::ReadNifti(path);
-    ASSERT_TRUE(whole.ok()) << whole.status();
-    const auto streamed = nifti::ReadNiftiStreamed(path);
-    ASSERT_TRUE(streamed.ok()) << streamed.status();
-    ASSERT_EQ(streamed->data.flat().size(), whole->data.flat().size());
-    for (std::size_t i = 0; i < whole->data.flat().size(); ++i) {
-      ASSERT_EQ(streamed->data.flat()[i], whole->data.flat()[i])
-          << "gzip=" << gzip << " voxel " << i;
-    }
-    EXPECT_EQ(streamed->data.nt(), whole->data.nt());
-    EXPECT_EQ(streamed->data.spacing().tr_seconds,
-              whole->data.spacing().tr_seconds);
-  }
-}
-
-TEST(NiftiStreamTest, FramesReadableInAnyOrder) {
-  const image::Volume4D volume = MakeTestVolume();
-  const std::string path = TempPath("ooc_frames.nii.gz");
-  ASSERT_TRUE(nifti::WriteNifti(path, volume).ok());
-  const auto whole = nifti::ReadNifti(path);
-  ASSERT_TRUE(whole.ok());
-  auto reader = nifti::NiftiStreamReader::Open(path);
-  ASSERT_TRUE(reader.ok()) << reader.status();
-  EXPECT_EQ(reader->nt(), 6u);
-  std::vector<float> frame;
-  // Forward, then backward (forces the gzip reopen), then forward again.
-  for (const std::size_t t : {std::size_t{4}, std::size_t{1}, std::size_t{5}}) {
-    ASSERT_TRUE(reader->ReadFrame(t, &frame).ok()) << "frame " << t;
-    ASSERT_EQ(frame.size(), reader->frame_voxels());
-    const float* want = whole->data.VolumePtr(t);
-    for (std::size_t i = 0; i < frame.size(); ++i) {
-      ASSERT_EQ(frame[i], want[i]) << "frame " << t << " voxel " << i;
-    }
-  }
-  EXPECT_EQ(reader->ReadFrame(6, &frame).code(), StatusCode::kInvalidArgument);
 }
 
 }  // namespace
