@@ -213,10 +213,10 @@ Result<linalg::Matrix> StreamedGram(const MatrixStore& store,
     const std::size_t wa = std::min(w, n - ca);
     const linalg::Matrix* window_a = nullptr;
     NP_ASSIGN_OR_RETURN(window_a, store.ViewColumns(ca, wa, &slab_a));
-    // Diagonal block: MatTMul over the full feature height gives each
-    // element its complete canonical sum, both triangles at once.
-    linalg::Matrix block =
-        linalg::MatTMul(*window_a, *window_a, options.parallel);
+    // Diagonal block: Gram over the full feature height gives each element
+    // its complete canonical sum — the same bits as MatTMul, from half the
+    // multiply-adds (upper triangle, mirrored).
+    linalg::Matrix block = linalg::Gram(*window_a, options.parallel);
     for (std::size_t p = 0; p < wa; ++p) {
       for (std::size_t q = 0; q < wa; ++q) {
         gram(ca + p, ca + q) = block(p, q);

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <numeric>
+#include <utility>
 
 #include "linalg/eig_sym.h"
 #include "linalg/gemm_kernel.h"
@@ -26,6 +27,14 @@ linalg::Vector RowSquaredNorms(const linalg::Matrix& u, std::size_t k) {
   return scores;
 }
 
+// EigSym under its own span, so a trace splits the leverage fit into
+// Gram, eigendecomposition and projection.
+Result<linalg::SymmetricEigenDecomposition> TracedEigSym(
+    const linalg::Matrix& gram) {
+  NP_TRACE_SCOPE("leverage.eig");
+  return linalg::EigSym(gram);
+}
+
 // The shared core of the in-RAM and streamed Gram fast paths: A = U S V^T
 // implies A^T A = V S^2 V^T, so the scaled projection basis V diag(1/sigma)
 // over the leading k columns maps A onto U. Consumes the Gram by value
@@ -33,7 +42,7 @@ linalg::Vector RowSquaredNorms(const linalg::Matrix& u, std::size_t k) {
 Result<linalg::Matrix> LeverageBasisFromGram(linalg::Matrix gram,
                                              const LeverageOptions& options) {
   const std::size_t n = gram.rows();
-  auto eig = linalg::EigSym(gram);
+  auto eig = TracedEigSym(gram);
   if (!eig.ok()) {
     // Rank-deficient / non-converged Gram: retry once with a tiny ridge
     // (relative to the largest diagonal entry) before giving up and
@@ -46,7 +55,7 @@ Result<linalg::Matrix> LeverageBasisFromGram(linalg::Matrix gram,
     if (!(max_diag > 0.0) || !std::isfinite(max_diag)) return eig.status();
     const double ridge = 1e-12 * max_diag;
     for (std::size_t i = 0; i < gram.rows(); ++i) gram(i, i) += ridge;
-    eig = linalg::EigSym(gram);
+    eig = TracedEigSym(gram);
     if (!eig.ok()) return eig.status();
     metrics::Count("leverage.gram_ridge_retries", 1);
     if (options.diagnostics != nullptr) {
@@ -104,8 +113,11 @@ Result<linalg::Vector> ProjectOntoBasis(const linalg::Matrix& basis,
 // eigendecomposition instead of an m x n SVD. In RAM, A is one row tile.
 Result<linalg::Vector> LeverageViaGram(const linalg::Matrix& a,
                                        const LeverageOptions& options) {
-  auto basis =
-      LeverageBasisFromGram(linalg::Gram(a, options.parallel), options);
+  linalg::Matrix gram = [&] {
+    NP_TRACE_SCOPE("leverage.gram");
+    return linalg::Gram(a, options.parallel);
+  }();
+  auto basis = LeverageBasisFromGram(std::move(gram), options);
   if (!basis.ok()) return basis.status();
   return ProjectOntoBasis(
       *basis, a.rows(), a.rows(),
@@ -184,7 +196,10 @@ Result<linalg::Vector> ComputeLeverageScoresStreamed(
   if (options.allow_gram_fast_path && m >= 4 * n) {
     connectome::StreamOptions windows = stream;
     windows.parallel = options.parallel;
-    auto gram = connectome::StreamedGram(store, windows);
+    auto gram = [&] {
+      NP_TRACE_SCOPE("leverage.gram");
+      return connectome::StreamedGram(store, windows);
+    }();
     if (!gram.ok()) return gram.status();
     auto basis = LeverageBasisFromGram(std::move(*gram), options);
     if (basis.ok()) {

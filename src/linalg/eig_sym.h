@@ -1,9 +1,16 @@
-// Symmetric eigendecomposition via the cyclic Jacobi rotation method.
+// Symmetric eigendecomposition: Householder reduction to tridiagonal form,
+// then implicit-shift QL iteration on the tridiagonal matrix (the EISPACK
+// tred2/tql2 scheme; Golub & Van Loan, Matrix Computations, §8.3).
 //
 // Used for the Gram-matrix fast path (eigenvectors of A^T A give the right
-// singular vectors of A) and as an independent check of the SVD. Jacobi is
-// O(n^3) per sweep but extremely robust and accurate for the small dense
-// symmetric matrices that arise here (n <= a few hundred).
+// singular vectors of A) and as an independent check of the SVD. The
+// reduction costs ~(4/3) n^3 and accumulating it ~(4/3) n^3; each QL sweep
+// is O(n) rotations of length n, and it converges in ~2 sweeps per
+// eigenvalue. The solver is serial scalar code: its bits depend on the
+// input alone, never on the thread count or the SIMD dispatch table.
+// The transform is stored transposed, so every Householder update and every
+// QL rotation walks contiguous rows. tests/ keeps a cyclic Jacobi solver as
+// the accuracy oracle.
 
 #ifndef NEUROPRINT_LINALG_EIG_SYM_H_
 #define NEUROPRINT_LINALG_EIG_SYM_H_
@@ -20,11 +27,11 @@ struct SymmetricEigenDecomposition {
   Matrix eigenvectors;  ///< Column j pairs with eigenvalues[j].
 };
 
-/// Computes the eigendecomposition of a symmetric matrix. Fails on
-/// non-square, non-finite, or materially asymmetric input (relative
-/// asymmetry > 1e-8), and if rotation sweeps do not converge.
-Result<SymmetricEigenDecomposition> EigSym(const Matrix& a,
-                                           int max_sweeps = 100);
+/// Computes the eigendecomposition of a symmetric matrix from its upper
+/// triangle. Fails on non-square, non-finite, or materially asymmetric
+/// input (relative asymmetry > 1e-8), and with NotConverged if the QL
+/// iteration for some eigenvalue exceeds a fixed iteration cap.
+Result<SymmetricEigenDecomposition> EigSym(const Matrix& a);
 
 }  // namespace neuroprint::linalg
 

@@ -1,7 +1,6 @@
 #include "linalg/gemm_kernel.h"
 
 #include <algorithm>
-#include <utility>
 #include <vector>
 
 #include "linalg/simd/simd.h"
@@ -32,10 +31,16 @@ static_assert(kBlockM % kMr == 0, "row blocks must align to micro-tiles");
 // thread-count dependence.
 constexpr std::size_t kSmallGemmWork = std::size_t{1} << 15;
 
-// The panel-parallel path materializes one m x n partial matrix per panel;
-// only use it when the output is small (the huge-K shapes that need it —
-// Gram / MatTMul on 64620 x 100 group matrices — all are).
+// The panel-parallel path holds one m x n partial per slot of a panel
+// group; only use it when the output is small (the huge-K shapes that need
+// it — Gram / MatTMul on 64620 x 100 group matrices — all are).
 constexpr std::size_t kPanelParallelMaxOutput = std::size_t{1} << 14;
+
+// K panels computed concurrently per group of the panel-parallel schedule.
+// Each slot owns a partial and its pack buffers for the whole call, so this
+// bounds the scratch to kPanelGroup partials however long K is. It moves
+// no bits: the fold order is fixed by panel index alone.
+constexpr std::size_t kPanelGroup = 16;
 
 inline std::size_t CeilDiv(std::size_t a, std::size_t b) {
   return (a + b - 1) / b;
@@ -173,18 +178,18 @@ void ComputePanelBlock(const double* ap, std::size_t i0, std::size_t mb,
 }
 
 // One full K panel of C = op(A) op(B): packs B once and sweeps row blocks.
+// `apack` holds APackSize() doubles, `bpack` BPackSize(n).
 void ComputePanel(const Matrix& a, bool trans_a, const Matrix& b, bool trans_b,
                   std::size_t m, std::size_t n, std::size_t k_dim,
-                  std::size_t p, bool overwrite, Matrix* out,
-                  std::vector<double>& apack, std::vector<double>& bpack) {
+                  std::size_t p, bool overwrite, Matrix* out, double* apack,
+                  double* bpack) {
   const std::size_t k0 = p * kGemmPanelK;
   const std::size_t kc = std::min(kGemmPanelK, k_dim - k0);
-  PackB(b, trans_b, k0, kc, n, bpack.data());
+  PackB(b, trans_b, k0, kc, n, bpack);
   for (std::size_t i0 = 0; i0 < m; i0 += kBlockM) {
     const std::size_t mb = std::min(kBlockM, m - i0);
-    PackA(a, trans_a, i0, mb, k0, kc, apack.data());
-    ComputePanelBlock(apack.data(), i0, mb, bpack.data(), n, kc, overwrite,
-                      out);
+    PackA(a, trans_a, i0, mb, k0, kc, apack);
+    ComputePanelBlock(apack, i0, mb, bpack, n, kc, overwrite, out);
   }
 }
 
@@ -194,37 +199,72 @@ std::size_t BPackSize(std::size_t n) {
   return CeilDiv(n, kNr) * kNr * kGemmPanelK;
 }
 
-// Huge-contraction shapes (small C, K in the tens of thousands — Gram and
-// MatTMul on group matrices): parallelize over K panels. Each panel writes
-// its own partial matrix; partials fold in ascending panel order, which is
-// bit-identical to the serial overwrite-then-accumulate.
+// The huge-contraction schedule (small m x n C, K in the tens of thousands
+// — Gram and MatTMul on group matrices), shared by TiledGemm and TiledGram.
+// `compute(p, pack, overwrite, out)` writes K panel p of C into `out`
+// (assigning if `overwrite`, else adding), with `pack` as its pack scratch
+// of `pack_size` doubles. With `upper`, only elements j >= i are kept.
+//
+// Serially, panel 0 assigns C and each later panel adds to it. In
+// parallel, panels run kPanelGroup at a time, each into its own slot's
+// partial; the group then folds into C in parallel over output rows, each
+// element starting from C (or from slot 0 in the first group) and adding
+// the slots in ascending panel order in a local accumulator. That is the
+// serial operation sequence element by element, so the bits match it at
+// any thread count. Partials and packs are allocated once per call.
+template <typename ComputePanelFn>
+void PanelParallelSchedule(std::size_t m, std::size_t n,
+                           std::size_t num_panels, std::size_t pack_size,
+                           bool upper, Matrix* c, const ParallelContext& ctx,
+                           const ComputePanelFn& compute) {
+  if (ResolveThreadCount(ctx) <= 1 || ThreadPool::InParallelRegion()) {
+    std::vector<double> pack(pack_size);
+    for (std::size_t p = 0; p < num_panels; ++p) {
+      compute(p, pack.data(), p == 0, c);
+    }
+    return;
+  }
+  const std::size_t slots = std::min(kPanelGroup, num_panels);
+  std::vector<Matrix> partials(slots, Matrix(m, n));
+  std::vector<double> packs(slots * pack_size);
+  for (std::size_t p0 = 0; p0 < num_panels; p0 += slots) {
+    const std::size_t count = std::min(slots, num_panels - p0);
+    ParallelFor(ctx, 0, count, 1, [&](std::size_t lo, std::size_t hi) {
+      for (std::size_t s = lo; s < hi; ++s) {
+        compute(p0 + s, packs.data() + s * pack_size, /*overwrite=*/true,
+                &partials[s]);
+      }
+    });
+    ParallelFor(ctx, 0, m, GrainForWork(n * count),
+                [&](std::size_t lo, std::size_t hi) {
+                  const double* rows[kPanelGroup];
+                  for (std::size_t i = lo; i < hi; ++i) {
+                    for (std::size_t s = 0; s < count; ++s) {
+                      rows[s] = partials[s].RowPtr(i);
+                    }
+                    double* crow = c->RowPtr(i);
+                    for (std::size_t j = upper ? i : 0; j < n; ++j) {
+                      double acc = p0 == 0 ? rows[0][j] : crow[j] + rows[0][j];
+                      for (std::size_t s = 1; s < count; ++s) acc += rows[s][j];
+                      crow[j] = acc;
+                    }
+                  }
+                });
+  }
+}
+
 void PanelParallelGemm(const Matrix& a, bool trans_a, const Matrix& b,
                        bool trans_b, std::size_t m, std::size_t n,
                        std::size_t k_dim, Matrix* c,
                        const ParallelContext& ctx) {
-  const std::size_t num_panels = CeilDiv(k_dim, kGemmPanelK);
-  if (ResolveThreadCount(ctx) <= 1 || ThreadPool::InParallelRegion()) {
-    std::vector<double> apack(APackSize());
-    std::vector<double> bpack(BPackSize(n));
-    for (std::size_t p = 0; p < num_panels; ++p) {
-      ComputePanel(a, trans_a, b, trans_b, m, n, k_dim, p, p == 0, c, apack,
-                   bpack);
-    }
-    return;
-  }
-  std::vector<Matrix> partials(num_panels);
-  ParallelFor(ctx, 0, num_panels, 1,
-              [&](std::size_t plo, std::size_t phi) {
-                std::vector<double> apack(APackSize());
-                std::vector<double> bpack(BPackSize(n));
-                for (std::size_t p = plo; p < phi; ++p) {
-                  partials[p] = Matrix(m, n);
-                  ComputePanel(a, trans_a, b, trans_b, m, n, k_dim, p,
-                               /*overwrite=*/true, &partials[p], apack, bpack);
-                }
-              });
-  *c = std::move(partials[0]);
-  for (std::size_t p = 1; p < num_panels; ++p) *c += partials[p];
+  const std::size_t a_size = APackSize();
+  PanelParallelSchedule(
+      m, n, CeilDiv(k_dim, kGemmPanelK), a_size + BPackSize(n),
+      /*upper=*/false, c, ctx,
+      [&](std::size_t p, double* pack, bool overwrite, Matrix* out) {
+        ComputePanel(a, trans_a, b, trans_b, m, n, k_dim, p, overwrite, out,
+                     pack, pack + a_size);
+      });
 }
 
 // Packs every K panel of Bhat once, panel p at offset p * BPackSize(n).
@@ -449,31 +489,14 @@ void TiledGram(const Matrix& a, Matrix* g, const ParallelContext& ctx) {
   const std::size_t panel_stride = BPackSize(n);
 
   if (n * n <= kPanelParallelMaxOutput && num_panels >= 2) {
-    if (ResolveThreadCount(ctx) <= 1 || ThreadPool::InParallelRegion()) {
-      std::vector<double> pack(panel_stride);
-      for (std::size_t p = 0; p < num_panels; ++p) {
-        const std::size_t k0 = p * kGemmPanelK;
-        const std::size_t kc = std::min(kGemmPanelK, m - k0);
-        PackB(a, false, k0, kc, n, pack.data());
-        ComputeGramPanelTiles(pack.data(), 0, n, n, kc, p == 0, g);
-      }
-    } else {
-      std::vector<Matrix> partials(num_panels);
-      ParallelFor(ctx, 0, num_panels, 1,
-                  [&](std::size_t plo, std::size_t phi) {
-                    std::vector<double> pack(panel_stride);
-                    for (std::size_t p = plo; p < phi; ++p) {
-                      const std::size_t k0 = p * kGemmPanelK;
-                      const std::size_t kc = std::min(kGemmPanelK, m - k0);
-                      PackB(a, false, k0, kc, n, pack.data());
-                      partials[p] = Matrix(n, n);
-                      ComputeGramPanelTiles(pack.data(), 0, n, n, kc,
-                                            /*overwrite=*/true, &partials[p]);
-                    }
-                  });
-      *g = std::move(partials[0]);
-      for (std::size_t p = 1; p < num_panels; ++p) *g += partials[p];
-    }
+    PanelParallelSchedule(
+        n, n, num_panels, panel_stride, /*upper=*/true, g, ctx,
+        [&](std::size_t p, double* pack, bool overwrite, Matrix* out) {
+          const std::size_t k0 = p * kGemmPanelK;
+          const std::size_t kc = std::min(kGemmPanelK, m - k0);
+          PackB(a, false, k0, kc, n, pack);
+          ComputeGramPanelTiles(pack, 0, n, n, kc, overwrite, out);
+        });
   } else {
     // Large-n Gram: parallelize over output-row blocks (ragged upper-
     // triangle work — the pool's work stealing rebalances it).

@@ -19,9 +19,9 @@
 // ReferenceGemm() implements exactly this order with naive loops; the tests
 // assert TiledGemm == ReferenceGemm *bitwise* for every shape and thread
 // count. Because the order is canonical, the row-parallel path (chunks of
-// output rows), the panel-parallel path (per-panel partial matrices folded
-// in ascending panel order), and the serial path all produce identical
-// bits.
+// output rows), the panel-parallel path (groups of panels computed into
+// per-slot partials, each group folded into C element by element in
+// ascending panel order), and the serial path all produce identical bits.
 //
 // ProjectedRowSquaredNorms() is the one fused entry point: it forms
 // U = A * B in kBlockM-row tiles under the same canonical order and folds

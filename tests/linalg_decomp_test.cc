@@ -1,20 +1,27 @@
 // Tests for QR, SVD, symmetric eigendecomposition, Cholesky, and LU,
 // including parameterized property sweeps over shapes.
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <numeric>
 #include <tuple>
 #include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "jacobi_eig_oracle.h"
 #include "linalg/bidiag.h"
 #include "linalg/cholesky.h"
 #include "linalg/eig_sym.h"
+#include "linalg/gemm_kernel.h"
 #include "linalg/lu.h"
 #include "linalg/matrix.h"
 #include "linalg/qr.h"
 #include "linalg/svd.h"
 #include "linalg/vector_ops.h"
+#include "util/check.h"
 #include "util/random.h"
 
 namespace neuroprint::linalg {
@@ -427,6 +434,144 @@ TEST(EigSymTest, GramEigenvaluesAreSquaredSingularValues) {
 TEST(EigSymTest, RejectsAsymmetric) {
   const Matrix a{{1, 2}, {3, 4}};
   EXPECT_FALSE(EigSym(a).ok());
+}
+
+// EigSym against the Jacobi oracle: eigenvalues within 1e-12 * |lambda|max,
+// descending, and EigSym's own reconstruction and orthonormality errors at
+// most 1e-12 relative. Eigenvectors are not compared one by one: with
+// repeated eigenvalues only the eigenspace is defined.
+void ExpectMatchesJacobiOracle(const Matrix& a) {
+  const auto eig = EigSym(a);
+  ASSERT_TRUE(eig.ok()) << eig.status();
+  const auto oracle = JacobiEigSym(a);
+  ASSERT_TRUE(oracle.has_value());
+  const std::size_t n = a.rows();
+  ASSERT_EQ(eig->eigenvalues.size(), n);
+  ASSERT_EQ(eig->eigenvectors.rows(), n);
+  ASSERT_EQ(eig->eigenvectors.cols(), n);
+  double lambda_max = 0.0;
+  for (const double l : oracle->eigenvalues) {
+    lambda_max = std::max(lambda_max, std::fabs(l));
+  }
+  for (std::size_t i = 0; i < n; ++i) {
+    EXPECT_LE(std::fabs(eig->eigenvalues[i] - oracle->eigenvalues[i]),
+              1e-12 * lambda_max)
+        << "eigenvalue " << i << ": " << eig->eigenvalues[i] << " vs "
+        << oracle->eigenvalues[i];
+    if (i + 1 < n) {
+      EXPECT_GE(eig->eigenvalues[i], eig->eigenvalues[i + 1]);
+    }
+  }
+  Matrix vl = eig->eigenvectors;
+  for (std::size_t j = 0; j < n; ++j) {
+    for (std::size_t i = 0; i < n; ++i) vl(i, j) *= eig->eigenvalues[j];
+  }
+  EXPECT_LE((MatMulT(vl, eig->eigenvectors) - a).MaxAbs(), 1e-12 * lambda_max);
+  EXPECT_LE(OrthonormalityError(eig->eigenvectors), 1e-12);
+}
+
+// Q diag(lambda) Q^T for a seeded random orthogonal Q.
+Matrix WithSpectrum(const Vector& lambda, std::uint64_t seed) {
+  Rng rng(seed);
+  const std::size_t n = lambda.size();
+  const auto qr = QrDecompose(RandomMatrix(n, n, rng));
+  NP_CHECK(qr.ok());
+  Matrix ql = qr->q;
+  for (std::size_t j = 0; j < n; ++j) {
+    for (std::size_t i = 0; i < n; ++i) ql(i, j) *= lambda[j];
+  }
+  Matrix a = MatMulT(ql, qr->q);
+  // Exactly symmetric, as a Gram is.
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = 0; j < i; ++j) a(i, j) = a(j, i);
+  }
+  return a;
+}
+
+// The 1-D Laplacian: already tridiagonal.
+Matrix Laplacian1d(std::size_t n) {
+  Matrix a(n, n);
+  for (std::size_t i = 0; i < n; ++i) {
+    a(i, i) = 2.0;
+    if (i + 1 < n) a(i, i + 1) = a(i + 1, i) = -1.0;
+  }
+  return a;
+}
+
+TEST(EigSymTest, MatchesJacobiOracle) {
+  Rng rng(63);
+  const Matrix b = RandomMatrix(20, 20, rng);
+  const std::pair<const char*, Matrix> cases[] = {
+      {"1x1", Matrix{{-3.5}}},
+      {"2x2", Matrix{{2, 1}, {1, 2}}},
+      {"2x2 graded", Matrix{{0, 1e-3}, {1e-3, 5}}},
+      {"2x2 repeated", Matrix{{4, 0}, {0, 4}}},
+      {"diagonal", Matrix::Diagonal({1.0, 5.0, 3.0, -2.0, 0.0, 5.0})},
+      {"tridiagonal", Laplacian1d(12)},
+      {"repeated and clustered",
+       WithSpectrum({3.0, 3.0, 3.0, 1.0, 1.0 + 1e-10, 1.0 - 1e-10, 0.5,
+                     0.5 + 1e-14, 1e-3, 1e-3},
+                    61)},
+      {"all equal", WithSpectrum(Vector(9, 2.0), 62)},
+      {"indefinite", b + b.Transposed()},
+      {"indefinite spectrum", WithSpectrum({4.0, 1.0, 0.0, -1.0, -4.0}, 64)},
+      {"rank-deficient Gram", Gram(RandomLowRank(50, 12, 5, rng))},
+      {"tall Gram", Gram(RandomMatrix(2000, 100, rng))},
+  };
+  for (const auto& [name, a] : cases) {
+    SCOPED_TRACE(name);
+    ExpectMatchesJacobiOracle(a);
+  }
+}
+
+// Leverage scores l_i = ||a_i V diag(1/sqrt(lambda))||^2 over the
+// eigenvalues above the leverage path's rank cutoff.
+Vector LeverageFromEig(const Matrix& a, const SymmetricEigenDecomposition& e) {
+  std::size_t k = 0;
+  while (k < e.eigenvalues.size() &&
+         e.eigenvalues[k] > 1e-24 * e.eigenvalues[0]) {
+    ++k;
+  }
+  Matrix basis(a.cols(), k);
+  for (std::size_t j = 0; j < k; ++j) {
+    for (std::size_t i = 0; i < a.cols(); ++i) {
+      basis(i, j) = e.eigenvectors(i, j) / std::sqrt(e.eigenvalues[j]);
+    }
+  }
+  Vector scores(a.rows());
+  ProjectedRowSquaredNorms(a, basis, scores.data());
+  return scores;
+}
+
+std::vector<std::size_t> TopIndices(const Vector& scores, std::size_t t) {
+  std::vector<std::size_t> order(scores.size());
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  std::stable_sort(order.begin(), order.end(),
+                   [&](std::size_t x, std::size_t y) {
+                     return scores[x] > scores[y];
+                   });
+  order.resize(t);
+  return order;
+}
+
+TEST(EigSymTest, LeverageScoresMatchJacobiBasis) {
+  // A tall features-by-subjects cohort: a shared low-rank signal plus
+  // per-entry noise, so the Gram has a decaying, well-separated top.
+  Rng rng(67);
+  const Matrix a = RandomLowRank(3000, 60, 10, rng) +
+                   RandomMatrix(3000, 60, rng, 0.1);
+  const Matrix g = Gram(a);
+  const auto eig = EigSym(g);
+  ASSERT_TRUE(eig.ok());
+  const auto oracle = JacobiEigSym(g);
+  ASSERT_TRUE(oracle.has_value());
+  const Vector ql = LeverageFromEig(a, *eig);
+  const Vector jacobi = LeverageFromEig(a, *oracle);
+  for (std::size_t i = 0; i < a.rows(); ++i) {
+    EXPECT_LE(std::fabs(ql[i] - jacobi[i]), 1e-10 * std::fabs(jacobi[i]))
+        << "row " << i;
+  }
+  EXPECT_EQ(TopIndices(ql, 100), TopIndices(jacobi, 100));
 }
 
 // ---------------------------------------------------------------------------

@@ -101,11 +101,15 @@ TEST(ParallelInvarianceTest, TiledGemmMatchesReferenceBitwise) {
   // the K panel (kGemmPanelK = 256), the M row block (64), the 4x4
   // micro-tile, and the small-problem cutover — all must agree with the
   // canonical-order reference kernel bit for bit, at every thread count.
+  // The last two have a small m x n and K panel counts (18 and 34) that
+  // span several panel groups of the panel-parallel schedule and end in a
+  // ragged group.
   struct Shape {
     std::size_t m, k, n;
   };
   const Shape shapes[] = {{3, 5, 2},      {64, 256, 64},  {65, 257, 33},
-                          {130, 520, 48}, {31, 700, 100}, {300, 90, 70}};
+                          {130, 520, 48}, {31, 700, 100}, {300, 90, 70},
+                          {9, 4353, 21},  {17, 8453, 10}};
   for (const auto& [m, k, n] : shapes) {
     const linalg::Matrix a = RandomMatrix(m, k, 101 + m);
     const linalg::Matrix b = RandomMatrix(k, n, 102 + n);
@@ -134,8 +138,10 @@ TEST(ParallelInvarianceTest, TiledGemmMatchesReferenceBitwise) {
 
 TEST(ParallelInvarianceTest, TiledGramMatchesGemmBitwise) {
   // Gram computes the upper triangle and mirrors; the mirrored bits must
-  // equal the full A^T A product exactly (products commute bitwise).
-  for (const std::size_t rows : {40u, 300u, 530u}) {
+  // equal the full A^T A product exactly (products commute bitwise). 4353
+  // and 8453 rows (18 and 34 K panels) span several panel groups of the
+  // panel-parallel schedule and end in a ragged group.
+  for (const std::size_t rows : {40u, 300u, 530u, 4353u, 8453u}) {
     const linalg::Matrix a = RandomMatrix(rows, 37, 200 + rows);
     linalg::Matrix full(37, 37);
     linalg::TiledGemm(a, true, a, false, &full, ParallelContext{1});
@@ -151,16 +157,19 @@ TEST(ParallelInvarianceTest, GemmStableUnderOversubscription) {
   // Thread counts far beyond the hardware force the work-stealing pool
   // into constant steals between oversubscribed runners; the output must
   // not move by a bit. The K dimension spans many packing panels so the
-  // panel-parallel path has enough chunks to steal.
-  const linalg::Matrix a = RandomMatrix(3000, 64, 301);
-  const linalg::Matrix b = RandomMatrix(3000, 64, 302);
-  const linalg::Matrix tmul1 = linalg::MatTMul(a, b, ParallelContext{1});
-  const linalg::Matrix gram1 = linalg::Gram(a, ParallelContext{1});
-  for (const std::size_t threads : {16u, 32u, 64u}) {
-    const ParallelContext ctx{threads};
-    ExpectBitwiseEqual(tmul1, linalg::MatTMul(a, b, ctx),
-                       "MatTMul oversubscribed");
-    ExpectBitwiseEqual(gram1, linalg::Gram(a, ctx), "Gram oversubscribed");
+  // panel-parallel path has enough chunks to steal; 4353 and 8453 rows
+  // span several panel groups and end in a ragged one.
+  for (const std::size_t rows : {3000u, 4353u, 8453u}) {
+    const linalg::Matrix a = RandomMatrix(rows, 64, 301);
+    const linalg::Matrix b = RandomMatrix(rows, 64, 302);
+    const linalg::Matrix tmul1 = linalg::MatTMul(a, b, ParallelContext{1});
+    const linalg::Matrix gram1 = linalg::Gram(a, ParallelContext{1});
+    for (const std::size_t threads : {16u, 32u, 64u}) {
+      const ParallelContext ctx{threads};
+      ExpectBitwiseEqual(tmul1, linalg::MatTMul(a, b, ctx),
+                         "MatTMul oversubscribed");
+      ExpectBitwiseEqual(gram1, linalg::Gram(a, ctx), "Gram oversubscribed");
+    }
   }
 }
 
