@@ -1,6 +1,6 @@
 // Microbenchmarks (google-benchmark) for the computational claims of
 // Section 1: the attack's kernels are "computationally inexpensive and
-// scale to large datasets". Covers the SVD/leverage path, the matcher,
+// scale to large datasets". Covers the leverage fit, the matcher,
 // the FFT filters, connectome construction, and t-SNE per-iteration cost.
 //
 // `--threads=N` (stripped before google-benchmark sees the flags) sets
@@ -9,17 +9,14 @@
 // microbenchmark suite runs. Before that, comparison tables quantify this
 // repo's kernel work: the tiled GEMM micro-kernels against the pre-tiling
 // naive triple loops (kept here as baselines), the fused leverage
-// projection against MatMul plus a row-norm pass, Gram-path leverage
-// scoring against the exact SVD path, the dispatched SIMD kernels
-// against the scalar reference table (per-ISA, with a bitwise-equality
-// assertion), and the blocked bidiagonalization against the serial
-// Householder reduction. Pass `--json=PATH` to also emit those
+// projection against MatMul plus a row-norm pass, and the dispatched SIMD
+// kernels against the scalar reference table (per-ISA, with a
+// bitwise-equality assertion). Pass `--json=PATH` to also emit those
 // comparisons as a JSON record array (the committed BENCH_gemm.json); a
 // CSV lands next to the binary either way.
 
 #include <benchmark/benchmark.h>
 
-#include <algorithm>
 #include <cstring>
 #include <string>
 #include <vector>
@@ -34,7 +31,6 @@
 #include "linalg/matrix.h"
 #include "linalg/simd/simd.h"
 #include "linalg/stats.h"
-#include "linalg/svd.h"
 #include "signal/filters.h"
 #include "util/check.h"
 #include "util/random.h"
@@ -53,22 +49,6 @@ linalg::Matrix RandomMatrix(std::size_t rows, std::size_t cols,
   }
   return m;
 }
-
-void BM_ThinSvdTallSkinny(benchmark::State& state) {
-  const auto rows = static_cast<std::size_t>(state.range(0));
-  const auto cols = static_cast<std::size_t>(state.range(1));
-  const linalg::Matrix a = RandomMatrix(rows, cols, 1);
-  for (auto _ : state) {
-    auto svd = linalg::Svd(a);
-    benchmark::DoNotOptimize(svd);
-  }
-  state.SetComplexityN(static_cast<std::int64_t>(rows));
-}
-BENCHMARK(BM_ThinSvdTallSkinny)
-    ->Args({2000, 50})
-    ->Args({16000, 100})
-    ->Args({64620, 100})
-    ->Unit(benchmark::kMillisecond);
 
 void BM_LeverageScores(benchmark::State& state) {
   const auto rows = static_cast<std::size_t>(state.range(0));
@@ -198,62 +178,11 @@ linalg::Matrix NaiveGram(const linalg::Matrix& a) {
   return out;
 }
 
-// Tall group matrix whose identity signature is carried by a planted set
-// of high-leverage rows with ramped boosts — the concentrated-leverage
-// regime the attack targets. Mirrors the construction validated in
-// core_attack_test.cc.
-linalg::Matrix PlantedGroupMatrix(std::size_t rows, std::size_t cols,
-                                  std::size_t num_planted,
-                                  std::uint64_t seed) {
-  Rng rng(seed);
-  linalg::Matrix a(rows, cols);
-  linalg::Matrix u(rows, 10);
-  linalg::Matrix v(cols, 10);
-  for (std::size_t i = 0; i < rows; ++i) {
-    for (std::size_t j = 0; j < cols; ++j) a(i, j) = rng.Gaussian();
-  }
-  for (std::size_t i = 0; i < rows; ++i) {
-    for (std::size_t t = 0; t < 10; ++t) u(i, t) = rng.Gaussian();
-  }
-  for (std::size_t j = 0; j < cols; ++j) {
-    for (std::size_t t = 0; t < 10; ++t) v(j, t) = rng.Gaussian();
-  }
-  for (std::size_t i = 0; i < rows; ++i) {
-    for (std::size_t j = 0; j < cols; ++j) {
-      double s = 0.0;
-      for (std::size_t t = 0; t < 10; ++t) {
-        s += u(i, t) * v(j, t) / static_cast<double>(1 + t);
-      }
-      a(i, j) = 0.5 * a(i, j) + s;
-    }
-  }
-  std::vector<std::size_t> planted = rng.Permutation(rows);
-  planted.resize(num_planted);
-  for (std::size_t p = 0; p < num_planted; ++p) {
-    const double boost = 10.0 - 8.0 * static_cast<double>(p) /
-                                    static_cast<double>(num_planted - 1);
-    for (std::size_t j = 0; j < cols; ++j) a(planted[p], j) *= boost;
-  }
-  return a;
-}
-
-double TopOverlapFraction(const linalg::Vector& x, const linalg::Vector& y,
-                          std::size_t t) {
-  auto tx = core::TopKIndices(x, t);
-  auto ty = core::TopKIndices(y, t);
-  std::sort(tx.begin(), tx.end());
-  std::sort(ty.begin(), ty.end());
-  std::vector<std::size_t> both;
-  std::set_intersection(tx.begin(), tx.end(), ty.begin(), ty.end(),
-                        std::back_inserter(both));
-  return static_cast<double>(both.size()) / static_cast<double>(t);
-}
-
 }  // namespace
 
 // Single-thread comparison of the tiled GEMM micro-kernels against the
-// pre-tiling naive loops, and of Gram-path leverage scoring against the
-// exact SVD path, at the paper's 64620 x 100 group-matrix
+// pre-tiling naive loops, and of the fused leverage projection against
+// MatMul plus a row-norm pass, at the paper's 64620 x 100 group-matrix
 // shape (shrunk under NEUROPRINT_BENCH_FAST). Results go to stdout, to
 // scaling_kernels.csv, and — when --json was given — to the JSON report.
 void ReportKernelComparisons(bench::JsonReporter* json) {
@@ -261,25 +190,21 @@ void ReportKernelComparisons(bench::JsonReporter* json) {
   const std::size_t cols = 100;
   CsvWriter csv;
   csv.SetHeader({"kernel", "rows", "cols", "baseline_sec", "optimized_sec",
-                 "speedup", "top100_overlap"});
+                 "speedup"});
   char buf[64];
   const auto format = [&buf](double v) {
     std::snprintf(buf, sizeof(buf), "%.6g", v);
     return std::string(buf);
   };
   const auto emit = [&](const char* name, const char* baseline_kind,
-                        double baseline_sec, double optimized_sec,
-                        double overlap) {
+                        double baseline_sec, double optimized_sec) {
     const double speedup =
         optimized_sec > 0.0 ? baseline_sec / optimized_sec : 0.0;
-    std::printf("%-24s %11.3fs %11.3fs %7.2fx", name, baseline_sec,
+    std::printf("%-24s %11.3fs %11.3fs %7.2fx\n", name, baseline_sec,
                 optimized_sec, speedup);
-    if (overlap >= 0.0) std::printf("  overlap %.0f%%", 100.0 * overlap);
-    std::printf("\n");
     csv.AddRow({name, format(static_cast<double>(rows)),
                 format(static_cast<double>(cols)), format(baseline_sec),
-                format(optimized_sec), format(speedup),
-                overlap >= 0.0 ? format(overlap) : ""});
+                format(optimized_sec), format(speedup)});
     if (json != nullptr) {
       json->BeginRecord(name);
       json->AddTextField("baseline", baseline_kind);
@@ -288,7 +213,6 @@ void ReportKernelComparisons(bench::JsonReporter* json) {
       json->AddField("baseline_sec", baseline_sec);
       json->AddField("optimized_sec", optimized_sec);
       json->AddField("speedup", speedup);
-      if (overlap >= 0.0) json->AddField("top100_overlap", overlap);
     }
   };
 
@@ -305,8 +229,7 @@ void ReportKernelComparisons(bench::JsonReporter* json) {
     const double naive_att = clock.ElapsedSeconds();
     clock.Restart();
     auto tiled = linalg::MatTMul(a, b);
-    emit("mattmul", "pre-tiling loops", naive_att, clock.ElapsedSeconds(),
-         -1.0);
+    emit("mattmul", "pre-tiling loops", naive_att, clock.ElapsedSeconds());
     benchmark::DoNotOptimize(naive);
     benchmark::DoNotOptimize(tiled);
 
@@ -315,7 +238,7 @@ void ReportKernelComparisons(bench::JsonReporter* json) {
     const double naive_g = clock.ElapsedSeconds();
     clock.Restart();
     auto tiled_gram = linalg::Gram(a);
-    emit("gram", "pre-tiling loops", naive_g, clock.ElapsedSeconds(), -1.0);
+    emit("gram", "pre-tiling loops", naive_g, clock.ElapsedSeconds());
     benchmark::DoNotOptimize(naive_gram);
     benchmark::DoNotOptimize(tiled_gram);
 
@@ -324,7 +247,7 @@ void ReportKernelComparisons(bench::JsonReporter* json) {
     const double naive_m = clock.ElapsedSeconds();
     clock.Restart();
     auto tiled_mm = linalg::MatMul(a, c);
-    emit("matmul", "pre-tiling loops", naive_m, clock.ElapsedSeconds(), -1.0);
+    emit("matmul", "pre-tiling loops", naive_m, clock.ElapsedSeconds());
     benchmark::DoNotOptimize(naive_mm);
     benchmark::DoNotOptimize(tiled_mm);
 
@@ -343,29 +266,10 @@ void ReportKernelComparisons(bench::JsonReporter* json) {
     clock.Restart();
     linalg::ProjectedRowSquaredNorms(a, c, fused.data());
     emit("leverage_projection", "MatMul + row norms", unfused_sec,
-         clock.ElapsedSeconds(), -1.0);
+         clock.ElapsedSeconds());
     NP_CHECK(std::memcmp(unfused.data(), fused.data(),
                          rows * sizeof(double)) == 0)
         << "fused projection differs from MatMul + row norms";
-  }
-  {
-    const linalg::Matrix a = PlantedGroupMatrix(rows, cols, 150, 41);
-
-    core::LeverageOptions exact;
-    exact.allow_gram_fast_path = false;
-    Stopwatch clock;
-    const auto svd_scores = core::ComputeLeverageScores(a, exact);
-    const double svd_sec = clock.ElapsedSeconds();
-    NP_CHECK(svd_scores.ok()) << svd_scores.status().ToString();
-
-    core::LeverageOptions gram;
-    clock.Restart();
-    const auto gram_scores = core::ComputeLeverageScores(a, gram);
-    const double gram_sec = clock.ElapsedSeconds();
-    NP_CHECK(gram_scores.ok()) << gram_scores.status().ToString();
-
-    emit("leverage_gram", "exact SVD leverage", svd_sec, gram_sec,
-         TopOverlapFraction(*svd_scores, *gram_scores, 100));
   }
   std::printf("\n");
   bench::WriteCsvOrDie(csv, "scaling_kernels.csv");
@@ -452,62 +356,6 @@ void ReportIsaKernels(bench::JsonReporter* json) {
   std::printf("\n");
 }
 
-// Exact-SVD bidiagonalization comparison: the legacy serial Householder
-// reduction (bidiag_panel = 1) against the blocked panel reduction, at 1
-// thread and at `threads` (the blocked trailing updates are level-3 ops
-// on the tiled GEMM path, so they scale with the pool). force_direct
-// keeps the thin-QR preconditioner out of the way so the measurement is
-// the reduction itself.
-void ReportSvdBidiag(bench::JsonReporter* json, std::size_t threads) {
-  const std::size_t rows = bench::FastMode() ? 400 : 1200;
-  const std::size_t cols = bench::FastMode() ? 80 : 200;
-  const linalg::Matrix a = RandomMatrix(rows, cols, 61);
-  linalg::SvdOptions unblocked;
-  unblocked.force_direct = true;
-  unblocked.bidiag_panel = 1;
-  linalg::SvdOptions blocked;
-  blocked.force_direct = true;
-
-  const auto time_svd = [&a](const linalg::SvdOptions& options) {
-    Stopwatch clock;
-    const auto svd = linalg::Svd(a, options);
-    NP_CHECK(svd.ok()) << svd.status().ToString();
-    benchmark::DoNotOptimize(svd);
-    return clock.ElapsedSeconds();
-  };
-
-  double unblocked_sec = 0.0;
-  double blocked_1t = 0.0;
-  {
-    ScopedDefaultThreadCount serial(1);
-    unblocked_sec = time_svd(unblocked);
-    blocked_1t = time_svd(blocked);
-  }
-  ScopedDefaultThreadCount parallel(threads);
-  const double blocked_nt = time_svd(blocked);
-
-  std::printf("exact-SVD bidiagonalization (%zu x %zu, force_direct):\n",
-              rows, cols);
-  std::printf("  serial Householder %8.3fs   blocked @1t %8.3fs (%.2fx)   "
-              "blocked @%zut %8.3fs (%.2fx)\n\n",
-              unblocked_sec, blocked_1t,
-              blocked_1t > 0.0 ? unblocked_sec / blocked_1t : 0.0, threads,
-              blocked_nt, blocked_nt > 0.0 ? blocked_1t / blocked_nt : 0.0);
-  if (json != nullptr) {
-    json->BeginRecord("svd_bidiag");
-    json->AddField("rows", static_cast<double>(rows));
-    json->AddField("cols", static_cast<double>(cols));
-    json->AddField("unblocked_sec", unblocked_sec);
-    json->AddField("blocked_1t_sec", blocked_1t);
-    json->AddField("blocked_nt_sec", blocked_nt);
-    json->AddField("threads", static_cast<double>(threads));
-    json->AddField("speedup_blocked",
-                   blocked_1t > 0.0 ? unblocked_sec / blocked_1t : 0.0);
-    json->AddField("thread_scaling",
-                   blocked_nt > 0.0 ? blocked_1t / blocked_nt : 0.0);
-  }
-}
-
 // Times one run of `fn` at 1 thread and at `threads`, printing the
 // speedup. The kernels are deterministic across thread counts, so the
 // two runs produce bitwise-identical results and only wall-clock moves.
@@ -557,7 +405,6 @@ int main(int argc, char** argv) {
   neuroprint::bench::JsonReporter json;
   neuroprint::ReportKernelComparisons(&json);
   neuroprint::ReportIsaKernels(&json);
-  neuroprint::ReportSvdBidiag(&json, threads);
   neuroprint::bench::WriteJsonOrDie(json, json_path);
   neuroprint::ReportThreadScaling(threads);
   benchmark::Initialize(&argc, argv);

@@ -192,8 +192,9 @@ std::size_t DeriveRowTile(std::size_t features, std::size_t subjects,
 Result<linalg::Matrix> StreamedGram(const MatrixStore& store,
                                     const StreamOptions& options = {});
 
-/// Fully materializes the store as a GroupMatrix (the fallback for
-/// shapes the streamed kernels do not cover, and the test oracle).
+/// Fully materializes the store as a GroupMatrix. No library path needs
+/// it: every streamed kernel covers every shape. It is the in-RAM oracle
+/// the streamed-equals-in-RAM tests compare against.
 Result<GroupMatrix> MaterializeStore(const MatrixStore& store);
 
 }  // namespace neuroprint::connectome

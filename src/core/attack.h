@@ -28,7 +28,7 @@ struct AttackOptions {
   /// 64620-feature resting-state matrices to fewer than 100 rows.
   std::size_t num_features = 100;
   /// Feature-selection knobs: exact, deterministic top-t leverage scores
-  /// (the paper's Eq. 5) on the Gram fast path or the exact SVD.
+  /// (the paper's Eq. 5), computed from the group matrix's Gram.
   LeverageOptions leverage;
   /// Threads for the subject screens of Fit and Identify and for the
   /// similarity / argmax stages of Identify (captured at Fit time). Never

@@ -7,25 +7,11 @@
 
 #include "linalg/eig_sym.h"
 #include "linalg/gemm_kernel.h"
-#include "linalg/svd.h"
 #include "util/metrics.h"
-#include "util/string_util.h"
 #include "util/trace.h"
 
 namespace neuroprint::core {
 namespace {
-
-// Squared row norms over the leading k columns of u.
-linalg::Vector RowSquaredNorms(const linalg::Matrix& u, std::size_t k) {
-  linalg::Vector scores(u.rows(), 0.0);
-  for (std::size_t i = 0; i < u.rows(); ++i) {
-    const double* row = u.RowPtr(i);
-    double sum = 0.0;
-    for (std::size_t j = 0; j < k; ++j) sum += row[j] * row[j];
-    scores[i] = sum;
-  }
-  return scores;
-}
 
 // EigSym under its own span, so a trace splits the leverage fit into
 // Gram, eigendecomposition and projection.
@@ -35,9 +21,9 @@ Result<linalg::SymmetricEigenDecomposition> TracedEigSym(
   return linalg::EigSym(gram);
 }
 
-// The shared core of the in-RAM and streamed Gram fast paths: A = U S V^T
-// implies A^T A = V S^2 V^T, so the scaled projection basis V diag(1/sigma)
-// over the leading k columns maps A onto U. Consumes the Gram by value
+// The shared core of the in-RAM and streamed calls: A = U S V^T implies
+// A^T A = V S^2 V^T, so the scaled projection basis V diag(1/sigma) over
+// the leading k columns maps A onto U. Consumes the Gram by value
 // (the ridge retry mutates it).
 Result<linalg::Matrix> LeverageBasisFromGram(linalg::Matrix gram,
                                              const LeverageOptions& options) {
@@ -45,9 +31,10 @@ Result<linalg::Matrix> LeverageBasisFromGram(linalg::Matrix gram,
   auto eig = TracedEigSym(gram);
   if (!eig.ok()) {
     // Rank-deficient / non-converged Gram: retry once with a tiny ridge
-    // (relative to the largest diagonal entry) before giving up and
-    // letting the caller fall back to the exact SVD. The ridge only
-    // perturbs the near-null directions the rank cutoff below discards.
+    // (relative to the largest diagonal entry) before giving up. The
+    // ridge only perturbs the near-null directions the rank cutoff below
+    // discards. A non-finite A leaves a non-finite Gram, which EigSym
+    // rejects with InvalidArgument and no ridge can repair.
     double max_diag = 0.0;
     for (std::size_t i = 0; i < gram.rows(); ++i) {
       max_diag = std::max(max_diag, std::abs(gram(i, i)));
@@ -58,9 +45,6 @@ Result<linalg::Matrix> LeverageBasisFromGram(linalg::Matrix gram,
     eig = TracedEigSym(gram);
     if (!eig.ok()) return eig.status();
     metrics::Count("leverage.gram_ridge_retries", 1);
-    if (options.diagnostics != nullptr) {
-      options.diagnostics->gram_ridge_retried = true;
-    }
   }
   const linalg::Vector& eigenvalues = eig->eigenvalues;
   if (eigenvalues.empty() || eigenvalues[0] <= 0.0) {
@@ -86,9 +70,9 @@ Result<linalg::Matrix> LeverageBasisFromGram(linalg::Matrix gram,
   return basis;
 }
 
-// The projection step of the Gram path, shared by the in-RAM and the
-// streamed call: l_i = ||a_i basis||^2, one row tile of A at a time, each
-// tile through the fused kernel so the m x k U is never formed.
+// The projection step, shared by the in-RAM and the streamed call:
+// l_i = ||a_i basis||^2, one row tile of A at a time, each tile through the
+// fused kernel so the m x k U is never formed.
 // `view_rows(r0, rows, &slab)` yields rows [r0, r0 + rows) of A at full
 // width. Row tiles are independent row blocks of the same product, so the
 // scores do not depend on the tile height.
@@ -109,23 +93,6 @@ Result<linalg::Vector> ProjectOntoBasis(const linalg::Matrix& basis,
   return scores;
 }
 
-// Gram-matrix fast path: costs two m*n^2 gemm-like passes plus an n x n
-// eigendecomposition instead of an m x n SVD. In RAM, A is one row tile.
-Result<linalg::Vector> LeverageViaGram(const linalg::Matrix& a,
-                                       const LeverageOptions& options) {
-  linalg::Matrix gram = [&] {
-    NP_TRACE_SCOPE("leverage.gram");
-    return linalg::Gram(a, options.parallel);
-  }();
-  auto basis = LeverageBasisFromGram(std::move(gram), options);
-  if (!basis.ok()) return basis.status();
-  return ProjectOntoBasis(
-      *basis, a.rows(), a.rows(),
-      [&a](std::size_t, std::size_t,
-           linalg::Matrix*) -> Result<const linalg::Matrix*> { return &a; },
-      options.parallel);
-}
-
 }  // namespace
 
 Result<linalg::Vector> ComputeLeverageScores(const linalg::Matrix& a,
@@ -139,37 +106,19 @@ Result<linalg::Vector> ComputeLeverageScores(const linalg::Matrix& a,
     return Status::InvalidArgument(
         "ComputeLeverageScores: expects a tall features-by-subjects matrix");
   }
-  if (options.diagnostics != nullptr) *options.diagnostics = {};
-  if (options.allow_gram_fast_path && a.rows() >= 4 * a.cols()) {
-    auto fast = LeverageViaGram(a, options);
-    if (fast.ok()) {
-      if (options.diagnostics != nullptr) {
-        options.diagnostics->used_gram_fast_path = true;
-      }
-      metrics::Count("leverage.path.gram", 1);
-      return fast;
-    }
-    // Fall through to the exact path on numerical failure.
-  }
-  linalg::SvdOptions svd_options;
-  svd_options.parallel = options.parallel;
-  auto svd = linalg::Svd(a, svd_options);
-  if (!svd.ok()) return svd.status();
-  if (options.diagnostics != nullptr) {
-    options.diagnostics->svd_qr_preconditioned = svd->qr_preconditioned;
-  }
-
-  // Columns of U beyond the numerical rank correspond to zero singular
-  // values; their directions are arbitrary and must not contribute.
-  std::size_t k = svd->Rank(1e-12);
-  if (options.rank > 0) k = std::min(k, options.rank);
-  if (k == 0) {
-    return Status::FailedPrecondition(
-        "ComputeLeverageScores: matrix is numerically zero");
-  }
-  metrics::Count("leverage.path.svd", 1);
-  metrics::SetGauge("leverage.rank", static_cast<double>(k));
-  return RowSquaredNorms(svd->u, k);
+  // Two m*n^2 gemm-like passes plus an n x n eigendecomposition; in RAM,
+  // A is one row tile.
+  linalg::Matrix gram = [&] {
+    NP_TRACE_SCOPE("leverage.gram");
+    return linalg::Gram(a, options.parallel);
+  }();
+  auto basis = LeverageBasisFromGram(std::move(gram), options);
+  if (!basis.ok()) return basis.status();
+  return ProjectOntoBasis(
+      *basis, a.rows(), a.rows(),
+      [&a](std::size_t, std::size_t,
+           linalg::Matrix*) -> Result<const linalg::Matrix*> { return &a; },
+      options.parallel);
 }
 
 Result<linalg::Vector> ComputeLeverageScoresStreamed(
@@ -192,40 +141,26 @@ Result<linalg::Vector> ComputeLeverageScoresStreamed(
     return Status::InvalidArgument(
         "ComputeLeverageScores: expects a tall features-by-subjects matrix");
   }
-  if (options.diagnostics != nullptr) *options.diagnostics = {};
-  if (options.allow_gram_fast_path && m >= 4 * n) {
-    connectome::StreamOptions windows = stream;
-    windows.parallel = options.parallel;
-    auto gram = [&] {
-      NP_TRACE_SCOPE("leverage.gram");
-      return connectome::StreamedGram(store, windows);
-    }();
-    if (!gram.ok()) return gram.status();
-    auto basis = LeverageBasisFromGram(std::move(*gram), options);
-    if (basis.ok()) {
-      auto scores = ProjectOntoBasis(
-          *basis, m, connectome::DeriveRowTile(m, n, stream.row_tile),
-          [&store, n](std::size_t r0, std::size_t rows, linalg::Matrix* slab)
-              -> Result<const linalg::Matrix*> {
-            NP_RETURN_IF_ERROR(store.ReadTile(r0, rows, 0, n, slab));
-            return slab;
-          },
-          options.parallel);
-      if (!scores.ok()) return scores.status();
-      if (options.diagnostics != nullptr) {
-        options.diagnostics->used_gram_fast_path = true;
-      }
-      metrics::Count("leverage.calls", 1);
-      metrics::Count("leverage.path.gram", 1);
-      return scores;
-    }
-    // Numerical failure: materialize below and let the in-RAM call retry
-    // the identical Gram (it fails the same way — the streamed Gram is
-    // bitwise-equal) and fall through to its exact-SVD path.
-  }
-  auto materialized = connectome::MaterializeStore(store);
-  if (!materialized.ok()) return materialized.status();
-  return ComputeLeverageScores(materialized->data(), options);
+  connectome::StreamOptions windows = stream;
+  windows.parallel = options.parallel;
+  auto gram = [&] {
+    NP_TRACE_SCOPE("leverage.gram");
+    return connectome::StreamedGram(store, windows);
+  }();
+  if (!gram.ok()) return gram.status();
+  auto basis = LeverageBasisFromGram(std::move(*gram), options);
+  if (!basis.ok()) return basis.status();
+  auto scores = ProjectOntoBasis(
+      *basis, m, connectome::DeriveRowTile(m, n, stream.row_tile),
+      [&store, n](std::size_t r0, std::size_t rows, linalg::Matrix* slab)
+          -> Result<const linalg::Matrix*> {
+        NP_RETURN_IF_ERROR(store.ReadTile(r0, rows, 0, n, slab));
+        return slab;
+      },
+      options.parallel);
+  if (!scores.ok()) return scores.status();
+  metrics::Count("leverage.calls", 1);
+  return scores;
 }
 
 std::vector<std::size_t> TopKIndices(const linalg::Vector& scores,

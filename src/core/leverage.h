@@ -6,6 +6,12 @@
 // Deterministically keeping the t rows with the largest scores gives the
 // principal features subspace — the compact set of connectome edges that
 // carries the identity signature.
+//
+// U is never formed. A = U S V^T gives A^T A = V S^2 V^T, so the scores
+// come from the small n x n Gram: eigendecompose it (linalg::EigSym), then
+// l_i = ||a_i V diag(1/sigma)||^2 through the fused projection kernel. This
+// is exact up to squaring the condition number; tests check it against an
+// independent one-sided Jacobi SVD. Every m >= n input takes this path.
 
 #ifndef NEUROPRINT_CORE_LEVERAGE_H_
 #define NEUROPRINT_CORE_LEVERAGE_H_
@@ -19,51 +25,30 @@
 
 namespace neuroprint::core {
 
-/// Which computation actually produced the scores (out-param telemetry for
-/// tests and tooling; see LeverageOptions::diagnostics).
-struct LeverageDiagnostics {
-  /// The Gram-eigendecomposition fast path ran to completion.
-  bool used_gram_fast_path = false;
-  /// The exact-SVD branch ran and its SVD took the thin-QR preconditioning
-  /// fast path (expected for tall group matrices).
-  bool svd_qr_preconditioned = false;
-  /// The Gram eigendecomposition failed on the raw Gram (rank-deficient /
-  /// non-converged) and succeeded on the ridge-jittered retry.
-  bool gram_ridge_retried = false;
-};
-
 struct LeverageOptions {
   /// Number of left singular vectors to use. 0 means all of them (the full
   /// column space, the paper's choice); k < n restricts to the rank-k
   /// dominant subspace.
   std::size_t rank = 0;
-  /// For tall matrices (rows >= 4 * cols) leverage scores are computed via
-  /// the Gram matrix A^T A: eigendecompose the small n x n Gram, then
-  /// l_i = || (A V)_i diag(1/sigma) ||^2. An order of magnitude faster than
-  /// the full SVD at the paper's 64620 x 100 shape, exact up to squaring
-  /// the condition number (validated against the SVD path in tests).
-  /// Disable to force the SVD path.
-  bool allow_gram_fast_path = true;
   /// Thread knob for the underlying kernels (never changes results).
   ParallelContext parallel;
-  /// Optional telemetry sink; filled by ComputeLeverageScores when set.
-  LeverageDiagnostics* diagnostics = nullptr;
 };
 
 /// Leverage scores of the rows of `a` (length a.rows(); each in [0, 1],
-/// summing to min(rank, numerical rank)).
+/// summing to min(rank, numerical rank)). Fails with InvalidArgument on an
+/// empty, wide (rows < cols) or non-finite matrix, FailedPrecondition on a
+/// numerically zero one, and with EigSym's status when the Gram does not
+/// decompose even after a ridge retry.
 Result<linalg::Vector> ComputeLeverageScores(const linalg::Matrix& a,
                                              const LeverageOptions& options = {});
 
 /// Leverage scores of a store: bitwise-identical to ComputeLeverageScores
 /// of the materialized store in every configuration. A resident store
 /// asked for no window (`stream.window_cols == 0`) is passed to
-/// ComputeLeverageScores in place. Otherwise, when the Gram fast path
-/// applies (tall shape, enabled), the whole computation streams —
+/// ComputeLeverageScores in place. Every other store streams —
 /// StreamedGram over column windows, then row tiles projected by the fused
 /// linalg::ProjectedRowSquaredNorms kernel, which never forms U — holding
-/// only one slab plus the n x n Gram resident; other shapes materialize
-/// the store and defer to the in-RAM implementation.
+/// only one slab plus the n x n Gram resident; no store is materialized.
 /// `stream.parallel` is ignored; `options.parallel` drives every kernel,
 /// as in the in-RAM call.
 Result<linalg::Vector> ComputeLeverageScoresStreamed(

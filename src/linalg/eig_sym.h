@@ -2,9 +2,8 @@
 // then implicit-shift QL iteration on the tridiagonal matrix (the EISPACK
 // tred2/tql2 scheme; Golub & Van Loan, Matrix Computations, §8.3).
 //
-// Used for the Gram-matrix fast path (eigenvectors of A^T A give the right
-// singular vectors of A) and as an independent check of the SVD. The
-// reduction costs ~(4/3) n^3 and accumulating it ~(4/3) n^3; each QL sweep
+// Used by the leverage fit (eigenvectors of A^T A give the right singular
+// vectors of A). The reduction costs ~(4/3) n^3 and accumulating it ~(4/3) n^3; each QL sweep
 // is O(n) rotations of length n, and it converges in ~2 sweeps per
 // eigenvalue. The solver is serial scalar code: its bits depend on the
 // input alone, never on the thread count or the SIMD dispatch table.

@@ -3,7 +3,7 @@
 //
 // Matrices here are small-to-medium dense blocks (the paper's largest is a
 // 64620 x 100 group matrix); everything is double precision and row-major.
-// Decompositions (QR, SVD, Cholesky, LU, symmetric eigensolver) live in
+// Decompositions (QR, Cholesky, LU, symmetric eigensolver) live in
 // their own headers within this module.
 
 #ifndef NEUROPRINT_LINALG_MATRIX_H_

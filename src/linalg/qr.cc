@@ -26,10 +26,8 @@ Result<QrDecomposition> QrDecompose(const Matrix& a) {
   // Reflector applications are organized as two row-streaming passes over
   // the trailing submatrix (accumulate every column dot, then update every
   // column) instead of a column-at-a-time loop: row-major storage makes the
-  // per-column form stride-n on every access, which is what used to make
-  // this factorization slower than the SVD it preconditions. Each per-
-  // column dot still sums in ascending row order, so the arithmetic is
-  // unchanged.
+  // per-column form stride-n on every access. Each per-column dot still
+  // sums in ascending row order, so the arithmetic is unchanged.
   Matrix work = a;
   std::vector<double> beta(n, 0.0);
   std::vector<double> alpha(n, 0.0);

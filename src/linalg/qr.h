@@ -2,8 +2,7 @@
 //
 // For a tall matrix A (m >= n) computes A = Q R with Q m x n having
 // orthonormal columns (thin Q) and R n x n upper-triangular. Used for
-// least squares and as the reduction step of the tall-skinny SVD path
-// (leverage scores of A equal the squared row norms of Q).
+// least squares.
 
 #ifndef NEUROPRINT_LINALG_QR_H_
 #define NEUROPRINT_LINALG_QR_H_

@@ -21,16 +21,14 @@
 #include "util/trace.h"          // NP_TRACE_SCOPE spans + chrome export.
 
 // Dense linear algebra.
-#include "linalg/bidiag.h"         // Blocked Householder bidiagonalization.
 #include "linalg/cholesky.h"       // SPD factorization and solves.
-#include "linalg/eig_sym.h"        // Symmetric eigendecomposition (Jacobi).
+#include "linalg/eig_sym.h"        // Symmetric eigendecomposition (QL).
 #include "linalg/gemm_kernel.h"    // Tiled GEMM micro-kernels.
 #include "linalg/lu.h"             // LU solve / inverse / determinant.
 #include "linalg/matrix.h"         // Matrix type and gemm-like kernels.
 #include "linalg/qr.h"             // Householder QR, least squares.
 #include "linalg/simd/simd.h"      // Runtime-dispatched SIMD micro-kernels.
 #include "linalg/stats.h"          // Correlation/covariance/z-score kernels.
-#include "linalg/svd.h"            // Thin SVD (Golub-Kahan-Reinsch, Jacobi).
 #include "linalg/vector_ops.h"     // Level-1 vector kernels.
 
 // Signal processing.

@@ -4,13 +4,11 @@
 #include <bit>
 #include <cmath>
 #include <limits>
-#include <optional>
 #include <utility>
 
 #include "linalg/simd/simd.h"
 #include "util/metrics.h"
 #include "util/random.h"
-#include "util/spill.h"
 #include "util/string_util.h"
 
 namespace neuroprint::service {
@@ -251,22 +249,15 @@ Status IdentificationIndex::EnrollColumns(
   // the batch and commit the survivors in index order, so fail-fast
   // leaves the index untouched on any error. The full columns the index
   // retains — or must journal, since a write-ahead record carries the
-  // full column — stay in RAM when the store is resident; otherwise they
-  // spill to disk until the batch resolves, so at most one window of full
-  // columns is held. The commit derives fingerprints from them; when no
-  // full column is kept, staging keeps the fingerprint instead.
+  // full column — are staged in RAM: every survivor's column is resident
+  // at commit anyway (in its Entry, or in the one journal payload), so
+  // staging them on disk could not lower the peak. The commit derives
+  // fingerprints from them; when no full column is kept, staging keeps
+  // the fingerprint instead.
   const bool keep_full = options_.retain_full_columns || journal_ != nullptr;
   std::vector<linalg::Vector> staged_fingerprints(n);
   std::vector<linalg::Vector> staged_full(n);
   std::vector<Status> staged_status(n, Status::OK());
-  std::optional<SpillFile> spill;
-  std::vector<std::size_t> spill_slot;
-  if (keep_full && subjects.resident() == nullptr) {
-    auto created = SpillFile::Create();
-    if (!created.ok()) return created.status();
-    spill.emplace(std::move(created).value());
-    spill_slot.assign(n, 0);
-  }
   const std::size_t window = subjects.WindowCols(window_cols);
   const std::size_t grain = GrainForWork(full_feature_count_);
   linalg::Matrix slab;
@@ -292,15 +283,6 @@ Status IdentificationIndex::EnrollColumns(
                     }
                   }
                 });
-    if (spill.has_value()) {
-      for (std::size_t j = c0; j < c0 + count; ++j) {
-        if (!staged_status[j].ok()) continue;
-        spill_slot[j] = spill->num_columns();
-        NP_RETURN_IF_ERROR(
-            spill->AppendColumn(staged_full[j].data(), staged_full[j].size()));
-        staged_full[j] = linalg::Vector();
-      }
-    }
   }
 
   // Serial pass: duplicate detection (against the index and within the
@@ -337,15 +319,6 @@ Status IdentificationIndex::EnrollColumns(
   NP_RETURN_IF_ERROR(ResolveBatch(options_.failure_policy, *report));
   if (!report->failed.empty()) {
     metrics::Count("batch.subjects_skipped", report->failed.size());
-  }
-
-  // Read the surviving spilled columns back before touching any shard, so
-  // a spill failure (file deleted mid-batch, injected `io.spill` fault)
-  // propagates with the index bit-unchanged — no rollback needed.
-  if (spill.has_value()) {
-    for (std::size_t j : survivors) {
-      NP_RETURN_IF_ERROR(spill->ReadColumn(spill_slot[j], &staged_full[j]));
-    }
   }
 
   // Write-ahead: one journal record covers the whole surviving batch, so

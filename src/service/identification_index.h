@@ -261,13 +261,13 @@ class IdentificationIndex {
   /// which may be null). Subject columns are pulled in windows of
   /// `window_cols` (0 derives a width from the memory budget, see
   /// connectome::DeriveWindowCols; a resident store is then one window
-  /// read in place). When the index retains full columns or journals, the
-  /// full columns of a store that is not resident spill to disk
-  /// (util/spill.h) during staging and are read back only at commit, so
-  /// peak RSS is one window of full columns plus the fingerprints. Index
-  /// state and report contents are identical at any window size; a store
-  /// or spill I/O failure (including the `io.stream` / `io.spill` fault
-  /// points) fails the call with the index bit-unchanged.
+  /// read in place). When the index neither retains full columns nor
+  /// journals, staging keeps only fingerprints, so peak RSS is one window
+  /// of full columns plus the fingerprints; otherwise every survivor's
+  /// full column is staged in RAM, as the commit keeps (or journals) it
+  /// anyway. Index state and report contents are identical at any window
+  /// size; a store I/O failure (including the `io.stream` fault point)
+  /// fails the call with the index bit-unchanged.
   Status EnrollStream(const connectome::MatrixStore& subjects,
                       BatchReport* report = nullptr,
                       std::size_t window_cols = 0);

@@ -1,7 +1,7 @@
 // Process-wide metrics registry: named counters, gauges, and histograms
-// collected from the attack pipeline's hot paths (gemm FLOPs, SVD QR
-// iterations, leverage path taken, connectome sizes, per-stage wall
-// time, thread-pool steal/idle counts).
+// collected from the attack pipeline's hot paths (gemm FLOPs, leverage
+// rank, connectome sizes, per-stage wall time, thread-pool steal/idle
+// counts).
 //
 // Collection shares the runtime toggle with util/trace.h: the free
 // helpers Count/SetGauge/Observe are no-ops unless trace::Enabled(), so

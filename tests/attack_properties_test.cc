@@ -1,12 +1,20 @@
 // Property-style tests of the end-to-end attack on simulated cohorts:
 // determinism, monotonicity in the attack budget, CMC behaviour, and
-// margin/accuracy consistency.
+// margin/accuracy consistency; and the leverage fit's feature selection
+// against the Jacobi SVD oracle on a planted group matrix.
+
+#include <algorithm>
+#include <cstdint>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "core/attack.h"
+#include "core/leverage.h"
 #include "core/matcher.h"
 #include "sim/cohort.h"
+#include "svd_oracle.h"
+#include "util/random.h"
 
 namespace neuroprint::core {
 namespace {
@@ -132,6 +140,60 @@ TEST_F(AttackPropertiesTest, SubsetGalleryStillRanksTrueIdentity) {
   }
   EXPECT_GE(static_cast<double>(in_gallery_rank1),
             0.7 * static_cast<double>(in_gallery_total));
+}
+
+// Tall group matrix whose identity signature is carried by a planted set
+// of high-leverage rows with ramped boosts — the concentrated-leverage
+// regime the attack targets.
+linalg::Matrix PlantedGroupMatrix(std::size_t rows, std::size_t cols,
+                                  std::size_t num_planted,
+                                  std::uint64_t seed) {
+  Rng rng(seed);
+  linalg::Matrix a(rows, cols);
+  linalg::Matrix u(rows, 10);
+  linalg::Matrix v(cols, 10);
+  for (std::size_t i = 0; i < rows; ++i) {
+    for (std::size_t j = 0; j < cols; ++j) a(i, j) = rng.Gaussian();
+  }
+  for (std::size_t i = 0; i < rows; ++i) {
+    for (std::size_t t = 0; t < 10; ++t) u(i, t) = rng.Gaussian();
+  }
+  for (std::size_t j = 0; j < cols; ++j) {
+    for (std::size_t t = 0; t < 10; ++t) v(j, t) = rng.Gaussian();
+  }
+  for (std::size_t i = 0; i < rows; ++i) {
+    for (std::size_t j = 0; j < cols; ++j) {
+      double s = 0.0;
+      for (std::size_t t = 0; t < 10; ++t) {
+        s += u(i, t) * v(j, t) / static_cast<double>(1 + t);
+      }
+      a(i, j) = 0.5 * a(i, j) + s;
+    }
+  }
+  std::vector<std::size_t> planted = rng.Permutation(rows);
+  planted.resize(num_planted);
+  for (std::size_t p = 0; p < num_planted; ++p) {
+    const double boost = 10.0 - 8.0 * static_cast<double>(p) /
+                                    static_cast<double>(num_planted - 1);
+    for (std::size_t j = 0; j < cols; ++j) a(planted[p], j) *= boost;
+  }
+  return a;
+}
+
+TEST(LeverageOracleTest, PlantedGroupMatrixTop100MatchesOracle) {
+  // The Gram path (Gram, EigSym, projection) must select exactly the
+  // oracle's top 100 features on the planted 6462 x 100 group matrix:
+  // this guards the eigensolver's accuracy where selection matters.
+  const linalg::Matrix a = PlantedGroupMatrix(6462, 100, 150, 41);
+  const auto scores = ComputeLeverageScores(a);
+  const auto oracle = linalg::OracleLeverageScores(a);
+  ASSERT_TRUE(scores.ok()) << scores.status();
+  ASSERT_TRUE(oracle.ok()) << oracle.status();
+  auto top = TopKIndices(*scores, 100);
+  auto want = TopKIndices(*oracle, 100);
+  std::sort(top.begin(), top.end());
+  std::sort(want.begin(), want.end());
+  EXPECT_EQ(top, want);
 }
 
 }  // namespace

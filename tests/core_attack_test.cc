@@ -2,6 +2,8 @@
 // matcher, and the DeanonymizationAttack facade.
 
 #include <cmath>
+#include <limits>
+#include <utility>
 
 #include <gtest/gtest.h>
 
@@ -10,8 +12,9 @@
 #include "core/knn.h"
 #include "core/matcher.h"
 #include "core/row_sampling.h"
-#include "linalg/svd.h"
+#include "service/synthetic_gallery.h"
 #include "sim/cohort.h"
+#include "svd_oracle.h"
 #include "util/random.h"
 
 namespace neuroprint::core {
@@ -99,59 +102,71 @@ TEST(LeverageTest, RejectsDegenerateInputs) {
   EXPECT_FALSE(ComputeLeverageScores(linalg::Matrix(3, 10)).ok());  // Wide.
   EXPECT_FALSE(ComputeLeverageScores(linalg::Matrix(10, 3)).ok());  // Zero.
   EXPECT_FALSE(TopLeverageFeatures(linalg::Matrix(10, 3, 1.0), 0).ok());
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity()}) {
+    linalg::Matrix a(10, 3, 1.0);
+    a(4, 1) = bad;
+    EXPECT_EQ(ComputeLeverageScores(a).status().code(),
+              StatusCode::kInvalidArgument);
+  }
 }
 
 
 TEST(LeverageTest, GramFastPathMatchesSvdPath) {
+  // The Gram path against the Jacobi SVD oracle, from tall to square.
   Rng rng(31);
-  // Tall enough to trigger the fast path (rows >= 4 * cols).
-  const linalg::Matrix a = RandomMatrix(400, 20, rng);
-  LeverageOptions fast;
-  fast.allow_gram_fast_path = true;
-  LeverageOptions exact;
-  exact.allow_gram_fast_path = false;
-  const auto fast_scores = ComputeLeverageScores(a, fast);
-  const auto exact_scores = ComputeLeverageScores(a, exact);
-  ASSERT_TRUE(fast_scores.ok());
-  ASSERT_TRUE(exact_scores.ok());
-  for (std::size_t i = 0; i < a.rows(); ++i) {
-    EXPECT_NEAR((*fast_scores)[i], (*exact_scores)[i], 1e-8);
+  for (const auto& [rows, cols] :
+       {std::pair<std::size_t, std::size_t>{400, 20}, {80, 40}, {24, 24}}) {
+    const linalg::Matrix a = RandomMatrix(rows, cols, rng);
+    const auto scores = ComputeLeverageScores(a);
+    const auto oracle = linalg::OracleLeverageScores(a);
+    ASSERT_TRUE(scores.ok()) << scores.status();
+    ASSERT_TRUE(oracle.ok()) << oracle.status();
+    double sum = 0.0;
+    for (std::size_t i = 0; i < rows; ++i) {
+      EXPECT_NEAR((*scores)[i], (*oracle)[i], 1e-8)
+          << rows << " x " << cols << " row " << i;
+      // m = n: A spans the whole feature space, so every score is 1.
+      if (rows == cols) {
+        EXPECT_NEAR((*scores)[i], 1.0, 1e-10) << "row " << i;
+      }
+      sum += (*scores)[i];
+    }
+    EXPECT_NEAR(sum, static_cast<double>(cols), 1e-9);
   }
+
+  // The service's reference fit: 512 features x 256 subjects of the
+  // synthetic gallery keep the oracle's top 100 in the oracle's order.
+  service::SyntheticGalleryConfig gallery;
+  gallery.num_subjects = 50000;
+  gallery.num_features = 512;
+  gallery.num_communities = 64;
+  gallery.seed = 0xbe9c5e71ceULL;
+  const auto reference =
+      service::MakeSyntheticGallerySlice(gallery, 0, 0, 256);
+  ASSERT_TRUE(reference.ok()) << reference.status();
+  const auto scores = ComputeLeverageScores(reference->data());
+  const auto oracle = linalg::OracleLeverageScores(reference->data());
+  ASSERT_TRUE(scores.ok()) << scores.status();
+  ASSERT_TRUE(oracle.ok()) << oracle.status();
+  EXPECT_EQ(TopKIndices(*scores, 100), TopKIndices(*oracle, 100));
 }
 
 TEST(LeverageTest, GramFastPathHandlesRankDeficiency) {
   Rng rng(32);
   const linalg::Matrix a = RandomLowRank(300, 12, 5, rng);
-  LeverageOptions fast;
-  LeverageOptions exact;
-  exact.allow_gram_fast_path = false;
-  const auto fast_scores = ComputeLeverageScores(a, fast);
-  const auto exact_scores = ComputeLeverageScores(a, exact);
-  ASSERT_TRUE(fast_scores.ok());
-  ASSERT_TRUE(exact_scores.ok());
-  double fast_sum = 0.0, exact_sum = 0.0;
-  for (std::size_t i = 0; i < a.rows(); ++i) {
-    fast_sum += (*fast_scores)[i];
-    exact_sum += (*exact_scores)[i];
-    EXPECT_NEAR((*fast_scores)[i], (*exact_scores)[i], 1e-6);
-  }
-  EXPECT_NEAR(fast_sum, 5.0, 1e-6);   // Rank 5.
-  EXPECT_NEAR(exact_sum, 5.0, 1e-6);
-}
-
-TEST(LeverageTest, SvdPathReportsQrPreconditioning) {
-  Rng rng(41);
-  // Tall enough for the thin-QR SVD fast path (rows >= 1.6 * cols) but not
-  // for the Gram path (rows < 4 * cols), so the exact-SVD branch runs and
-  // must report that its SVD was QR-preconditioned.
-  const linalg::Matrix a = RandomMatrix(100, 40, rng);
-  LeverageOptions options;
-  LeverageDiagnostics diag;
-  options.diagnostics = &diag;
-  const auto scores = ComputeLeverageScores(a, options);
+  const auto scores = ComputeLeverageScores(a);
+  const auto oracle = linalg::OracleLeverageScores(a);
   ASSERT_TRUE(scores.ok());
-  EXPECT_FALSE(diag.used_gram_fast_path);
-  EXPECT_TRUE(diag.svd_qr_preconditioned);
+  ASSERT_TRUE(oracle.ok());
+  double sum = 0.0, oracle_sum = 0.0;
+  for (std::size_t i = 0; i < a.rows(); ++i) {
+    sum += (*scores)[i];
+    oracle_sum += (*oracle)[i];
+    EXPECT_NEAR((*scores)[i], (*oracle)[i], 1e-6);
+  }
+  EXPECT_NEAR(sum, 5.0, 1e-6);  // Rank 5.
+  EXPECT_NEAR(oracle_sum, 5.0, 1e-6);
 }
 
 TEST(TopKIndicesTest, OrderingAndTies) {

@@ -327,8 +327,8 @@ TEST(DurabilityTest, SnapshotRoundTripIsBitIdentical) {
 // the middle, recovery, and then full DebugStateString + IdentifyBatch
 // parity against a never-persisted replica — streaming, persistence, and
 // parallelism must all be invisible in the final state. The file-backed
-// store stages through the spill file, so its journal records are built
-// from spill read-backs.
+// store is read window by window, so its journal records are built from
+// columns staged across several tile reads.
 TEST(DurabilityTest, StreamCrashRecoveryParityAcrossWindowsAndThreads) {
   SyntheticGalleryConfig gallery;
   gallery.num_subjects = 40;

@@ -735,7 +735,7 @@ TEST(FaultInjectionServiceTest, SingleEnrollIsBatchItemZero) {
 
 // ---------------------------------------------------------------------------
 // Out-of-core fault points: `io.stream` (file-backed tile reads) and
-// `io.spill` (spill-file append / read-back).
+// `io.spill` (the bounded pipeline batch's spill-file append / read-back).
 
 std::string OutOfCoreTempPath(const std::string& name) {
   return ::testing::TempDir() + "/" + name;
@@ -810,8 +810,10 @@ TEST(FaultInjectionOutOfCoreTest, SpillWriteFailureLeavesIndexUntouched) {
   ASSERT_TRUE(index.ok()) << index.status();
   const std::string before = index->DebugStateString();
 
-  // A resident store stages in RAM and never spills; a file-backed store
-  // over the same columns does.
+  // Enroll staging keeps every survivor in RAM and writes nothing until
+  // the batch resolves, so an I/O error in a later window — after the
+  // first window's columns have been staged — must leave the index
+  // bit-unchanged. Column 5 is in the second window of width 4.
   const std::string path = OutOfCoreTempPath("fault_spill_write.npgm");
   ASSERT_TRUE(connectome::WriteGroupMatrix(path, *tail).ok());
   auto file_store = connectome::FileMatrixStore::Open(path);
@@ -819,42 +821,13 @@ TEST(FaultInjectionOutOfCoreTest, SpillWriteFailureLeavesIndexUntouched) {
   const connectome::MatrixStore& store = **file_store;
   {
     fault::ScopedSchedule schedule(
-        "io.spill#1=error:IOError:spill device full (injected)");
-    ASSERT_TRUE(schedule.status().ok());
-    const Status status = index->EnrollStream(store);
-    EXPECT_EQ(status.code(), StatusCode::kIOError);
-  }
-  EXPECT_EQ(index->DebugStateString(), before);
-  EXPECT_EQ(index->size(), 12u);
-}
-
-TEST(FaultInjectionOutOfCoreTest, SpillReadBackFailureLeavesIndexUntouched) {
-  // @2 targets the second arrival at (io.spill, column 3): the append
-  // succeeds, the commit-time read-back fails — the spill-file-deleted-
-  // mid-batch scenario, injected deterministically.
-  const auto gallery = ServiceGallery();
-  auto reference = service::MakeSyntheticGallerySlice(gallery, 0, 0, 12);
-  auto tail = service::MakeSyntheticGallerySlice(gallery, 0, 12, 22);
-  ASSERT_TRUE(reference.ok() && tail.ok());
-  service::IndexOptions options;
-  options.num_features = 24;
-  auto index = service::IdentificationIndex::Create(*reference, options);
-  ASSERT_TRUE(index.ok()) << index.status();
-  const std::string before = index->DebugStateString();
-
-  const std::string path = OutOfCoreTempPath("fault_spill_read_back.npgm");
-  ASSERT_TRUE(connectome::WriteGroupMatrix(path, *tail).ok());
-  auto file_store = connectome::FileMatrixStore::Open(path);
-  ASSERT_TRUE(file_store.ok()) << file_store.status();
-  const connectome::MatrixStore& store = **file_store;
-  {
-    fault::ScopedSchedule schedule(
-        "io.spill#3@2=error:IOError:spill file vanished (injected)");
+        "io.stream#5=error:IOError:store device failed (injected)");
     ASSERT_TRUE(schedule.status().ok());
     const Status status = index->EnrollStream(store, nullptr, 4);
     EXPECT_EQ(status.code(), StatusCode::kIOError);
   }
   EXPECT_EQ(index->DebugStateString(), before);
+  EXPECT_EQ(index->size(), 12u);
 
   // With no fault armed the same call commits all ten subjects.
   ASSERT_TRUE(index->EnrollStream(store, nullptr, 4).ok());

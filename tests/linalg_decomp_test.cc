@@ -1,5 +1,6 @@
-// Tests for QR, SVD, symmetric eigendecomposition, Cholesky, and LU,
-// including parameterized property sweeps over shapes.
+// Tests for QR, symmetric eigendecomposition, Cholesky, and LU, and for
+// the one-sided Jacobi SVD oracle (tests/svd_oracle.h) the leverage tests
+// compare against, including parameterized property sweeps over shapes.
 
 #include <algorithm>
 #include <cmath>
@@ -12,14 +13,13 @@
 #include <gtest/gtest.h>
 
 #include "jacobi_eig_oracle.h"
-#include "linalg/bidiag.h"
+#include "svd_oracle.h"
 #include "linalg/cholesky.h"
 #include "linalg/eig_sym.h"
 #include "linalg/gemm_kernel.h"
 #include "linalg/lu.h"
 #include "linalg/matrix.h"
 #include "linalg/qr.h"
-#include "linalg/svd.h"
 #include "linalg/vector_ops.h"
 #include "util/check.h"
 #include "util/random.h"
@@ -123,7 +123,7 @@ TEST(LeastSquaresTest, ResidualOrthogonalToColumnSpace) {
 }
 
 // ---------------------------------------------------------------------------
-// SVD
+// SVD oracle (one-sided Jacobi)
 
 struct SvdShape {
   std::size_t rows;
@@ -136,7 +136,7 @@ TEST_P(SvdShapeTest, ReconstructionAndOrthogonality) {
   const auto [rows, cols] = GetParam();
   Rng rng(100 + rows * 31 + cols);
   const Matrix a = RandomMatrix(rows, cols, rng);
-  const auto svd = Svd(a);
+  const auto svd = JacobiSvd(a);
   ASSERT_TRUE(svd.ok()) << svd.status();
   const std::size_t k = std::min(rows, cols);
   ASSERT_EQ(svd->s.size(), k);
@@ -168,17 +168,17 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(SvdTest, SingularValuesOfKnownMatrix) {
   // diag(3, 2, 1) embedded in a rotation-free matrix.
   const Matrix a = Matrix::Diagonal({3.0, 1.0, 2.0});
-  const auto s = SingularValues(a);
-  ASSERT_TRUE(s.ok());
-  EXPECT_NEAR((*s)[0], 3.0, 1e-12);
-  EXPECT_NEAR((*s)[1], 2.0, 1e-12);
-  EXPECT_NEAR((*s)[2], 1.0, 1e-12);
+  const auto svd = JacobiSvd(a);
+  ASSERT_TRUE(svd.ok());
+  EXPECT_NEAR(svd->s[0], 3.0, 1e-12);
+  EXPECT_NEAR(svd->s[1], 2.0, 1e-12);
+  EXPECT_NEAR(svd->s[2], 1.0, 1e-12);
 }
 
 TEST(SvdTest, RankOfLowRankMatrix) {
   Rng rng(42);
   const Matrix a = RandomLowRank(30, 20, 4, rng);
-  const auto svd = Svd(a);
+  const auto svd = JacobiSvd(a);
   ASSERT_TRUE(svd.ok());
   EXPECT_EQ(svd->Rank(1e-10), 4u);
 }
@@ -186,56 +186,16 @@ TEST(SvdTest, RankOfLowRankMatrix) {
 TEST(SvdTest, FrobeniusNormMatchesSingularValues) {
   Rng rng(43);
   const Matrix a = RandomMatrix(12, 8, rng);
-  const auto s = SingularValues(a);
-  ASSERT_TRUE(s.ok());
+  const auto svd = JacobiSvd(a);
+  ASSERT_TRUE(svd.ok());
   double sum = 0.0;
-  for (double v : *s) sum += v * v;
+  for (double v : svd->s) sum += v * v;
   EXPECT_NEAR(std::sqrt(sum), a.FrobeniusNorm(), 1e-10);
-}
-
-TEST(SvdTest, QrPreconditionedPathMatchesDirect) {
-  Rng rng(44);
-  const Matrix a = RandomMatrix(120, 10, rng);
-  SvdOptions direct;
-  direct.force_direct = true;
-  const auto fast = Svd(a);
-  const auto slow = Svd(a, direct);
-  ASSERT_TRUE(fast.ok());
-  ASSERT_TRUE(slow.ok());
-  // The telemetry flag proves the tall input actually took the thin-QR
-  // preconditioning path (and that forcing direct bypasses it).
-  EXPECT_TRUE(fast->qr_preconditioned);
-  EXPECT_FALSE(slow->qr_preconditioned);
-  for (std::size_t i = 0; i < fast->s.size(); ++i) {
-    EXPECT_NEAR(fast->s[i], slow->s[i], 1e-9 * std::max(1.0, slow->s[0]));
-  }
-  // Leverage scores (row norms of U) must agree regardless of sign flips.
-  for (std::size_t i = 0; i < a.rows(); ++i) {
-    double lf = 0.0, ls = 0.0;
-    for (std::size_t j = 0; j < fast->u.cols(); ++j) {
-      lf += fast->u(i, j) * fast->u(i, j);
-      ls += slow->u(i, j) * slow->u(i, j);
-    }
-    EXPECT_NEAR(lf, ls, 1e-9);
-  }
-}
-
-TEST(SvdTest, AgreesWithJacobiSvd) {
-  Rng rng(45);
-  const Matrix a = RandomMatrix(20, 6, rng);
-  const auto gkr = Svd(a);
-  const auto jac = JacobiSvd(a);
-  ASSERT_TRUE(gkr.ok());
-  ASSERT_TRUE(jac.ok()) << jac.status();
-  for (std::size_t i = 0; i < gkr->s.size(); ++i) {
-    EXPECT_NEAR(gkr->s[i], jac->s[i], 1e-10 * std::max(1.0, gkr->s[0]));
-  }
-  EXPECT_LT((jac->Reconstruct() - a).MaxAbs(), 1e-11);
 }
 
 TEST(SvdTest, ZeroMatrix) {
   const Matrix a(4, 3);
-  const auto svd = Svd(a);
+  const auto svd = JacobiSvd(a);
   ASSERT_TRUE(svd.ok());
   for (double s : svd->s) EXPECT_DOUBLE_EQ(s, 0.0);
   EXPECT_LT(svd->Reconstruct().MaxAbs(), 1e-300);
@@ -244,154 +204,13 @@ TEST(SvdTest, ZeroMatrix) {
 TEST(SvdTest, RejectsNonFinite) {
   Matrix a(3, 3, 1.0);
   a(2, 2) = std::numeric_limits<double>::infinity();
-  EXPECT_FALSE(Svd(a).ok());
+  EXPECT_FALSE(JacobiSvd(a).ok());
 }
 
 TEST(SvdTest, EmptyMatrix) {
-  const auto svd = Svd(Matrix());
+  const auto svd = JacobiSvd(Matrix());
   ASSERT_TRUE(svd.ok());
   EXPECT_TRUE(svd->s.empty());
-}
-
-TEST(SvdTest, BlockedBidiagPathMatchesUnblocked) {
-  Rng rng(46);
-  // Aspect ratio below the QR-precondition threshold and n >= 64 so the
-  // direct branch takes the blocked bidiagonalization.
-  const Matrix a = RandomMatrix(80, 72, rng);
-  SvdOptions legacy;
-  legacy.bidiag_panel = 1;  // force the serial Householder reduction
-  const auto blocked = Svd(a);
-  const auto serial = Svd(a, legacy);
-  ASSERT_TRUE(blocked.ok()) << blocked.status();
-  ASSERT_TRUE(serial.ok());
-  // The telemetry flag proves the blocked reduction actually engaged
-  // (and that panel = 1 bypasses it).
-  EXPECT_TRUE(blocked->blocked_bidiag);
-  EXPECT_FALSE(serial->blocked_bidiag);
-  for (std::size_t i = 0; i < blocked->s.size(); ++i) {
-    EXPECT_NEAR(blocked->s[i], serial->s[i], 1e-9 * std::max(1.0, serial->s[0]))
-        << "singular value " << i;
-  }
-  EXPECT_LT((blocked->Reconstruct() - a).MaxAbs(), 1e-10);
-  EXPECT_LT(OrthonormalityError(blocked->u), 1e-11);
-  EXPECT_LT(OrthonormalityError(blocked->v), 1e-11);
-}
-
-TEST(SvdTest, BlockedBidiagEngagesAfterQrPreconditioning) {
-  Rng rng(47);
-  // Tall enough for the thin-QR precondition; the inner SVD then runs on
-  // the 64 x 64 R factor, which clears the blocked-bidiag threshold.
-  const Matrix a = RandomMatrix(200, 64, rng);
-  const auto svd = Svd(a);
-  ASSERT_TRUE(svd.ok());
-  EXPECT_TRUE(svd->qr_preconditioned);
-  EXPECT_TRUE(svd->blocked_bidiag);
-  EXPECT_LT((svd->Reconstruct() - a).MaxAbs(), 1e-10);
-  EXPECT_LT(OrthonormalityError(svd->u), 1e-11);
-}
-
-// ---------------------------------------------------------------------------
-// Blocked bidiagonalization
-
-// Rebuilds the n x n upper-bidiagonal middle factor from (d, e).
-Matrix BidiagonalMatrix(const Vector& d, const Vector& e) {
-  Matrix b(d.size(), d.size());
-  for (std::size_t i = 0; i < d.size(); ++i) {
-    b(i, i) = d[i];
-    if (i + 1 < d.size()) b(i, i + 1) = e[i];
-  }
-  return b;
-}
-
-TEST(BidiagTest, ReconstructsInputAndOrthogonal) {
-  Rng rng(50);
-  const Matrix a = RandomMatrix(90, 70, rng);
-  const auto f = BlockedBidiagonalize(a);
-  ASSERT_TRUE(f.ok()) << f.status();
-  ASSERT_EQ(f->d.size(), 70u);
-  ASSERT_EQ(f->e.size(), 69u);
-  const Matrix rebuilt = MatMulT(MatMul(f->u, BidiagonalMatrix(f->d, f->e)),
-                                 f->v);
-  EXPECT_LT((rebuilt - a).MaxAbs(), 1e-12 * a.MaxAbs() * 70);
-  EXPECT_LT(OrthonormalityError(f->u), 1e-13);
-  EXPECT_LT(OrthonormalityError(f->v), 1e-13);
-}
-
-TEST(BidiagTest, PanelWidthNeverChangesTheMath) {
-  Rng rng(51);
-  const Matrix a = RandomMatrix(45, 37, rng);
-  for (const std::size_t panel : {std::size_t{1}, std::size_t{7},
-                                  std::size_t{32}, std::size_t{64}}) {
-    BidiagOptions options;
-    options.panel = panel;
-    const auto f = BlockedBidiagonalize(a, options);
-    ASSERT_TRUE(f.ok()) << "panel " << panel;
-    const Matrix rebuilt = MatMulT(MatMul(f->u, BidiagonalMatrix(f->d, f->e)),
-                                   f->v);
-    EXPECT_LT((rebuilt - a).MaxAbs(), 1e-12) << "panel " << panel;
-    EXPECT_LT(OrthonormalityError(f->u), 1e-13) << "panel " << panel;
-    EXPECT_LT(OrthonormalityError(f->v), 1e-13) << "panel " << panel;
-  }
-}
-
-TEST(BidiagTest, HandlesSmallAndDegenerateShapes) {
-  Rng rng(52);
-  const std::pair<std::size_t, std::size_t> shapes[] = {
-      {1, 1}, {2, 1}, {2, 2}, {5, 3}, {33, 33}};
-  for (const auto& [rows, cols] : shapes) {
-    const Matrix a = RandomMatrix(rows, cols, rng);
-    const auto f = BlockedBidiagonalize(a);
-    ASSERT_TRUE(f.ok()) << rows << "x" << cols;
-    const Matrix rebuilt = MatMulT(MatMul(f->u, BidiagonalMatrix(f->d, f->e)),
-                                   f->v);
-    EXPECT_LT((rebuilt - a).MaxAbs(), 1e-12) << rows << "x" << cols;
-  }
-}
-
-TEST(BidiagTest, ZeroColumnsYieldZeroReflectors) {
-  Rng rng(53);
-  Matrix a = RandomMatrix(12, 6, rng);
-  for (std::size_t i = 0; i < a.rows(); ++i) a(i, 2) = 0.0;
-  const auto f = BlockedBidiagonalize(a);
-  ASSERT_TRUE(f.ok());
-  const Matrix rebuilt = MatMulT(MatMul(f->u, BidiagonalMatrix(f->d, f->e)),
-                                 f->v);
-  EXPECT_LT((rebuilt - a).MaxAbs(), 1e-13);
-  EXPECT_LT(OrthonormalityError(f->u), 1e-13);
-}
-
-TEST(BidiagTest, RejectsWideMatrix) {
-  EXPECT_FALSE(BlockedBidiagonalize(Matrix(3, 5, 1.0)).ok());
-}
-
-TEST(BidiagTest, RejectsNonFinite) {
-  Matrix a(4, 3, 1.0);
-  a(1, 2) = std::numeric_limits<double>::quiet_NaN();
-  EXPECT_FALSE(BlockedBidiagonalize(a).ok());
-}
-
-TEST(PseudoInverseTest, InvertsFullRankSquare) {
-  Rng rng(46);
-  const Matrix a = RandomMatrix(5, 5, rng);
-  const auto pinv = PseudoInverse(a);
-  ASSERT_TRUE(pinv.ok());
-  EXPECT_TRUE(AlmostEqual(MatMul(a, *pinv), Matrix::Identity(5), 1e-9));
-}
-
-TEST(PseudoInverseTest, MoorePenroseConditions) {
-  Rng rng(47);
-  const Matrix a = RandomLowRank(8, 6, 3, rng);
-  const auto pinv_result = PseudoInverse(a, 1e-10);
-  ASSERT_TRUE(pinv_result.ok());
-  const Matrix& p = *pinv_result;
-  // A P A = A and P A P = P.
-  EXPECT_LT((MatMul(MatMul(a, p), a) - a).MaxAbs(), 1e-9);
-  EXPECT_LT((MatMul(MatMul(p, a), p) - p).MaxAbs(), 1e-9);
-  // A P and P A are symmetric.
-  const Matrix ap = MatMul(a, p);
-  EXPECT_TRUE(AlmostEqual(ap, ap.Transposed(), 1e-9));
-  const Matrix pa = MatMul(p, a);
-  EXPECT_TRUE(AlmostEqual(pa, pa.Transposed(), 1e-9));
 }
 
 // ---------------------------------------------------------------------------
@@ -422,7 +241,7 @@ TEST(EigSymTest, ReconstructsRandomSymmetric) {
 TEST(EigSymTest, GramEigenvaluesAreSquaredSingularValues) {
   Rng rng(49);
   const Matrix a = RandomMatrix(15, 5, rng);
-  const auto svd = Svd(a);
+  const auto svd = JacobiSvd(a);
   const auto eig = EigSym(Gram(a));
   ASSERT_TRUE(svd.ok());
   ASSERT_TRUE(eig.ok());
@@ -655,10 +474,10 @@ TEST(LuTest, DeterminantOfKnownMatrix) {
 TEST(LuTest, DeterminantMatchesSingularValueProductMagnitude) {
   Rng rng(53);
   const Matrix a = RandomMatrix(5, 5, rng);
-  const auto s = SingularValues(a);
-  ASSERT_TRUE(s.ok());
+  const auto svd = JacobiSvd(a);
+  ASSERT_TRUE(svd.ok());
   double product = 1.0;
-  for (double v : *s) product *= v;
+  for (double v : svd->s) product *= v;
   EXPECT_NEAR(std::fabs(Determinant(a)), product, 1e-9 * product);
 }
 

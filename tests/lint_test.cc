@@ -134,7 +134,7 @@ TEST(NoNakedStdioRule, ExemptsLoggingAndSnprintf) {
 }
 
 TEST(NoAbortRule, FiresOnceOutsideCheckH) {
-  EXPECT_EQ(CountRule(LintOne("linalg/svd.cc", "void f() { std::abort(); }\n"),
+  EXPECT_EQ(CountRule(LintOne("linalg/qr.cc", "void f() { std::abort(); }\n"),
                       "no-abort"),
             1);
   EXPECT_EQ(CountRule(LintOne("util/check.h", "void f() { std::abort(); }\n"),
@@ -168,7 +168,7 @@ TEST(NoExitRule, ExemptsCheckHAndIgnoresLookalikes) {
 
 TEST(NoThrowRule, FiresOnThrowStatements) {
   const std::vector<Finding> findings = LintOne(
-      "linalg/svd.cc",
+      "linalg/qr.cc",
       "void f() { throw std::runtime_error(\"x\"); }\n"
       "void g() { throw; }\n");
   EXPECT_EQ(CountRule(findings, "no-throw"), 2);

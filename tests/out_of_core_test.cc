@@ -222,10 +222,14 @@ TEST(StreamedKernelTest, GramMatchesInRamAcrossWindowsAndThreads) {
   }
 }
 
-TEST(StreamedKernelTest, LeverageMatchesInRamOnGramFastPath) {
-  // Tall shape (96 >= 4 * 12): the fully-streamed Gram fast path.
-  const connectome::GroupMatrix group = MakeGroup(96, 12, 33);
-  const auto file_store = OpenFileStore(group, "ooc_leverage.npgm");
+// Checks the streamed leverage of a features x subjects group against the
+// single-threaded in-RAM scores, bit for bit, over every window, row tile and
+// thread count.
+void ExpectStreamedLeverageMatchesInRam(std::size_t features,
+                                        std::size_t subjects,
+                                        std::uint64_t seed, const char* file) {
+  const connectome::GroupMatrix group = MakeGroup(features, subjects, seed);
+  const auto file_store = OpenFileStore(group, file);
   core::LeverageOptions options;
   options.parallel.num_threads = 1;
   const auto want = core::ComputeLeverageScores(group.data(), options);
@@ -234,45 +238,32 @@ TEST(StreamedKernelTest, LeverageMatchesInRamOnGramFastPath) {
     for (const std::size_t threads : kThreadCounts) {
       core::LeverageOptions streamed_options;
       streamed_options.parallel.num_threads = threads;
-      core::LeverageDiagnostics diagnostics;
-      streamed_options.diagnostics = &diagnostics;
       connectome::StreamOptions stream;
       stream.window_cols = window;
       stream.row_tile = window;  // Exercise ragged row tiles too.
       const auto got = core::ComputeLeverageScoresStreamed(
           *file_store, streamed_options, stream);
       ASSERT_TRUE(got.ok()) << got.status();
-      EXPECT_TRUE(diagnostics.used_gram_fast_path);
       ASSERT_EQ(got->size(), want->size());
       for (std::size_t i = 0; i < want->size(); ++i) {
         ASSERT_EQ((*got)[i], (*want)[i])
-            << "window " << window << " threads " << threads << " row " << i;
+            << features << " x " << subjects << " window " << window
+            << " threads " << threads << " row " << i;
       }
     }
   }
 }
 
+TEST(StreamedKernelTest, LeverageMatchesInRamOnGramFastPath) {
+  ExpectStreamedLeverageMatchesInRam(96, 12, 33, "ooc_leverage.npgm");
+}
+
 TEST(StreamedKernelTest, LeverageFallsBackIdenticallyOffTheFastPath) {
-  // Not tall enough for the Gram path: the streamed call materializes and
-  // must still match bit for bit.
-  const connectome::GroupMatrix group = MakeGroup(24, 10, 35);
-  const auto file_store = OpenFileStore(group, "ooc_leverage_fallback.npgm");
-  core::LeverageOptions options;
-  options.parallel.num_threads = 1;
-  const auto want = core::ComputeLeverageScores(group.data(), options);
-  ASSERT_TRUE(want.ok()) << want.status();
-  core::LeverageDiagnostics diagnostics;
-  core::LeverageOptions streamed_options;
-  streamed_options.parallel.num_threads = 1;
-  streamed_options.diagnostics = &diagnostics;
-  const auto got =
-      core::ComputeLeverageScoresStreamed(*file_store, streamed_options, {});
-  ASSERT_TRUE(got.ok()) << got.status();
-  EXPECT_FALSE(diagnostics.used_gram_fast_path);
-  ASSERT_EQ(got->size(), want->size());
-  for (std::size_t i = 0; i < want->size(); ++i) {
-    ASSERT_EQ((*got)[i], (*want)[i]) << "row " << i;
-  }
+  // A 24 x 10 group (m < 4n) once left the Gram path for a materialized
+  // SVD. Every m >= n store now streams through the Gram path, and this
+  // short shape must still match the in-RAM scores bit for bit.
+  ExpectStreamedLeverageMatchesInRam(24, 10, 35,
+                                     "ooc_leverage_fallback.npgm");
 }
 
 TEST(StreamedKernelTest, SubsetColumnsStoreMatchesBaseColumns) {

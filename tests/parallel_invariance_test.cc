@@ -18,12 +18,10 @@
 #include "core/knn.h"
 #include "core/matcher.h"
 #include "core/tsne.h"
-#include "linalg/bidiag.h"
 #include "linalg/gemm_kernel.h"
 #include "linalg/matrix.h"
 #include "linalg/simd/simd.h"
 #include "linalg/stats.h"
-#include "linalg/svd.h"
 #include "linalg/vector_ops.h"
 #include "preprocess/pipeline.h"
 #include "service/identification_index.h"
@@ -733,49 +731,6 @@ TEST(SimdParityTest, DegenerateNormsTakeTheSameBranchOnEveryIsa) {
         linalg::ColumnCrossCorrelation(a, b, ParallelContext{1});
   });
   ExpectBitwiseEqual(scalar_xc, simd_xc, "ColumnCrossCorrelation degenerate");
-}
-
-// ---------------------------------------------------------------------------
-// Blocked bidiagonalization: the panel reduction, its level-3 trailing
-// updates, and the parallel Givens sweeps of the diagonalization must
-// all be thread-count-invariant.
-
-TEST(ParallelInvarianceTest, BlockedBidiagonalization) {
-  const linalg::Matrix a = RandomMatrix(90, 70, 21);
-  auto run = [&](std::size_t threads) {
-    linalg::BidiagOptions options;
-    options.parallel.num_threads = threads;
-    return linalg::BlockedBidiagonalize(a, options);
-  };
-  const auto base = run(1);
-  ASSERT_TRUE(base.ok()) << base.status();
-  for (const std::size_t threads : kThreadCounts) {
-    const auto got = run(threads);
-    ASSERT_TRUE(got.ok()) << got.status();
-    ExpectBitwiseEqual(base->u, got->u, "bidiag U");
-    ExpectBitwiseEqual(base->v, got->v, "bidiag V");
-    ExpectBitwiseEqual(base->d, got->d, "bidiag d");
-    ExpectBitwiseEqual(base->e, got->e, "bidiag e");
-  }
-}
-
-TEST(ParallelInvarianceTest, BlockedSvd) {
-  const linalg::Matrix a = RandomMatrix(96, 80, 22);
-  auto run = [&](std::size_t threads) {
-    linalg::SvdOptions options;
-    options.parallel.num_threads = threads;
-    return linalg::Svd(a, options);
-  };
-  const auto base = run(1);
-  ASSERT_TRUE(base.ok()) << base.status();
-  ASSERT_TRUE(base->blocked_bidiag);
-  for (const std::size_t threads : kThreadCounts) {
-    const auto got = run(threads);
-    ASSERT_TRUE(got.ok()) << got.status();
-    ExpectBitwiseEqual(base->u, got->u, "svd U");
-    ExpectBitwiseEqual(base->v, got->v, "svd V");
-    ExpectBitwiseEqual(base->s, got->s, "svd s");
-  }
 }
 
 }  // namespace
