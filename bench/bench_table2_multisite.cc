@@ -63,7 +63,7 @@ int main() {
                        paper_adhd[i]});
   }
   std::printf("\npaper shape: accuracy declines with noise; ADHD-200 declines "
-              "more slowly; >75%% retained at 30%%.\n");
+              "more slowly; >70%% retained at 30%%.\n");
   bench::WriteCsvOrDie(csv, "table2_multisite.csv");
   return 0;
 }

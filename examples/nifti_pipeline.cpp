@@ -10,11 +10,12 @@
 // Build & run:  ./build/examples/nifti_pipeline [output_dir]
 
 #include <cstdio>
+#include <cstdlib>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "atlas/synthetic_atlas.h"
-#include "connectome/connectome.h"
 #include "connectome/group_matrix.h"
 #include "core/attack.h"
 #include "nifti/nifti_io.h"
@@ -96,48 +97,58 @@ int main(int argc, char** argv) {
   // with it the correlation signal. Detrending handles the planted drift.
   pipeline.temporal_filter = preprocess::TemporalFilter::kNone;
 
-  auto process_session = [&](const char* name) {
-    std::vector<linalg::Vector> columns;
+  // Each session's scans stream through the scan-to-column path: read
+  // one file, preprocess it, build its connectome column, then the next.
+  auto process_session =
+      [&](const char* name) -> Result<connectome::GroupMatrix> {
     std::vector<std::string> ids;
     for (std::size_t s = 0; s < kSubjects; ++s) {
-      auto image = nifti::ReadNifti(ScanPath(dir, s, name));
-      if (!image.ok()) {
-        std::fprintf(stderr, "read: %s\n", image.status().ToString().c_str());
-        std::exit(1);
-      }
-      auto output = preprocess::RunPipeline(image->data, *atlas, pipeline);
-      if (!output.ok()) {
-        std::fprintf(stderr, "pipeline: %s\n",
-                     output.status().ToString().c_str());
-        std::exit(1);
-      }
-      auto connectome = connectome::BuildConnectome(output->region_series);
-      auto features = connectome::VectorizeUpperTriangle(*connectome);
-      columns.push_back(*features);
       ids.push_back("subject-" + std::to_string(s));
     }
-    return *connectome::GroupMatrix::FromFeatureColumns(columns, ids);
+    const preprocess::RunSource source =
+        [&](std::size_t s) -> Result<image::Volume4D> {
+      auto image = nifti::ReadNifti(ScanPath(dir, s, name));
+      if (!image.ok()) return image.status();
+      return std::move(image->data);
+    };
+    std::vector<linalg::Vector> columns;
+    const preprocess::ColumnSink sink = [&](std::size_t,
+                                            linalg::Vector column) {
+      columns.push_back(std::move(column));
+      return Status::OK();
+    };
+    auto report = preprocess::RunScansToColumns(source, kSubjects, ids,
+                                                *atlas, pipeline, sink);
+    if (!report.ok()) return report.status();
+    return connectome::GroupMatrix::FromFeatureColumns(columns, ids);
   };
 
   Stopwatch clock;
-  const auto known = process_session("LR");
-  const auto anonymous = process_session("RL");
+  auto known = process_session("LR");
+  auto anonymous = process_session("RL");
+  for (const auto* session : {&known, &anonymous}) {
+    if (!session->ok()) {
+      std::fprintf(stderr, "preprocess: %s\n",
+                   session->status().ToString().c_str());
+      return 1;
+    }
+  }
   std::printf("preprocessed %zu scans in %.1fs (%zu features each)\n",
-              2 * kSubjects, clock.ElapsedSeconds(), known.num_features());
+              2 * kSubjects, clock.ElapsedSeconds(), known->num_features());
 
   // 3. Attack: match the anonymous session against the known one.
   core::AttackOptions options;
   options.num_features = 50;
-  auto attack = core::DeanonymizationAttack::Fit(known, options);
+  auto attack = core::DeanonymizationAttack::Fit(*known, options);
   if (!attack.ok()) return 1;
-  auto result = attack->Identify(anonymous);
+  auto result = attack->Identify(*anonymous);
   if (!result.ok()) return 1;
 
   std::printf("\nmatches (from raw .nii.gz files through the full pipeline):\n");
   for (std::size_t j = 0; j < kSubjects; ++j) {
-    std::printf("  %s  ->  %s   %s\n", anonymous.subject_ids()[j].c_str(),
+    std::printf("  %s  ->  %s   %s\n", anonymous->subject_ids()[j].c_str(),
                 result->predicted_ids[j].c_str(),
-                result->predicted_ids[j] == anonymous.subject_ids()[j]
+                result->predicted_ids[j] == anonymous->subject_ids()[j]
                     ? "CORRECT"
                     : "wrong");
   }

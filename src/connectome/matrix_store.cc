@@ -1,13 +1,13 @@
 #include "connectome/matrix_store.h"
 
 #include <algorithm>
+#include <cstdlib>
 #include <limits>
 #include <utility>
 
 #include "connectome/group_matrix_io.h"
 #include "util/endian.h"
 #include "util/fault.h"
-#include "util/spill.h"
 #include "util/string_util.h"
 
 namespace neuroprint::connectome {
@@ -17,6 +17,23 @@ namespace {
 // two 32 MiB slabs comfortably below any modern cache of concern while
 // keeping seek overhead negligible at the paper's 64620-row shape.
 constexpr std::size_t kDefaultBudgetBytes = 64ull << 20;
+
+std::size_t LatchMemoryBudget() {
+  const char* env = std::getenv("NEUROPRINT_MEMORY_BUDGET_MB");
+  if (env == nullptr || *env == '\0') return 0;
+  char* end = nullptr;
+  const unsigned long long mb = std::strtoull(env, &end, 10);
+  if (end == env || *end != '\0') return 0;
+  return static_cast<std::size_t>(mb) << 20;
+}
+
+// The working-set budget in bytes from NEUROPRINT_MEMORY_BUDGET_MB, latched
+// on first use like the other NEUROPRINT_* knobs; 0 when the variable is
+// unset or unparsable, and the callers then use kDefaultBudgetBytes.
+std::size_t MemoryBudgetBytes() {
+  static const std::size_t budget = LatchMemoryBudget();
+  return budget;
+}
 
 Status CheckTileBounds(const MatrixStore& store, std::size_t row0,
                        std::size_t row_count, std::size_t col0,

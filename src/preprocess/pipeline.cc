@@ -1,14 +1,12 @@
 #include "preprocess/pipeline.h"
 
-#include <algorithm>
 #include <cmath>
-#include <optional>
 #include <string>
 #include <utility>
 
+#include "connectome/connectome.h"
 #include "linalg/stats.h"
 #include "util/metrics.h"
-#include "util/spill.h"
 #include "util/stopwatch.h"
 #include "util/string_util.h"
 #include "util/thread_pool.h"
@@ -310,199 +308,102 @@ Result<PipelineOutput> RunPipeline(const image::Volume4D& raw,
 
 namespace {
 
-// The one batch loop behind both RunPipelineBatch overloads. With
-// `resident` set, every run is already in RAM: runs are read in place, the
-// window is the whole batch and nothing spills. Otherwise runs are pulled
-// from `source` in windows of config.max_in_flight and each window's region
-// series spill to disk until the batch resolves.
-Result<PipelineBatchOutput> RunBatch(
-    const std::vector<image::Volume4D>* resident, const RunSource& source,
-    std::size_t num_runs, const std::vector<std::string>& ids,
-    const atlas::Atlas& atlas, const PipelineConfig& config) {
-  if (!ids.empty() && ids.size() != num_runs) {
-    return Status::InvalidArgument(StrFormat(
-        "RunPipelineBatch: %zu ids for %zu runs", ids.size(), num_runs));
-  }
-  trace::ScopedEnable trace_enable(config.trace.enabled);
-  // Installed once for the whole batch; per-item configs must not nest
-  // another schedule from worker threads.
-  fault::ScopedSchedule fault_schedule(config.fault.schedule);
-  NP_RETURN_IF_ERROR(fault_schedule.status());
-  NP_TRACE_SCOPE("pipeline.batch");
+// Takes scan `i` from `source` to its connectome column. On failure `*stage`
+// names the step that failed.
+Status ScanToColumn(const RunSource& source, std::size_t i,
+                    const atlas::Atlas& atlas, const PipelineConfig& config,
+                    const char** stage,
+                    std::vector<std::size_t>* degraded_frames,
+                    linalg::Vector* column) {
+  *stage = "load";
+  Result<image::Volume4D> run = source(i);
+  if (!run.ok()) return run.status();
 
-  PipelineBatchOutput out;
-  out.report.attempted = num_runs;
-  if (num_runs == 0) return out;
+  *stage = "pipeline";
+  NP_FAULT_POINT_KEYED("pipeline.batch_item", i);
+  Result<PipelineOutput> output = RunPipeline(*run, atlas, config);
+  if (!output.ok()) return output.status();
+  *degraded_frames = std::move(output->degraded_frames);
 
-  PipelineConfig item_config = config;
-  item_config.fault.schedule.clear();
-  const std::size_t window =
-      resident == nullptr && config.max_in_flight > 0
-          ? std::min(config.max_in_flight, num_runs)
-          : num_runs;
+  *stage = "connectome";
+  Result<linalg::Matrix> conn =
+      connectome::BuildConnectome(output->region_series, config.parallel);
+  if (!conn.ok()) return conn.status();
+  Result<linalg::Vector> features = connectome::VectorizeUpperTriangle(*conn);
+  if (!features.ok()) return features.status();
+  *column = std::move(features).value();
+  return Status::OK();
+}
 
-  // Completed region series spill to disk so only `window` raw runs plus
-  // the light per-run provenance (mask, motion, timings) stay resident
-  // until the batch resolves.
-  std::optional<SpillFile> spill;
-  if (resident == nullptr) {
-    auto created = SpillFile::Create();
-    if (!created.ok()) return created.status();
-    spill.emplace(std::move(created).value());
-  }
-
-  struct PendingOutput {
-    std::size_t index = 0;
-    std::size_t spill_column = 0;
-    std::size_t rows = 0;
-    std::size_t cols = 0;
-    PipelineOutput output;  // region_series empty until restore if spilled
-  };
-  std::vector<PendingOutput> pending;
-
-  std::vector<image::Volume4D> window_runs(window);
-  std::vector<const image::Volume4D*> loaded(window, nullptr);
-  std::vector<PipelineOutput> results(window);
-  std::vector<char> succeeded(window, 0);
-  std::vector<std::pair<std::size_t, Status>> errors;
-
-  for (std::size_t base = 0; base < num_runs; base += window) {
-    const std::size_t batch = std::min(window, num_runs - base);
-    std::fill(loaded.begin(), loaded.end(), nullptr);
-    std::fill(succeeded.begin(), succeeded.end(), 0);
-    std::vector<BatchItemReport> window_failed;
-
-    // Load phase — serial: sources are usually IO-bound decoders.
-    for (std::size_t k = 0; k < batch; ++k) {
-      if (resident != nullptr) {
-        loaded[k] = &(*resident)[base + k];
-        continue;
-      }
-      Result<image::Volume4D> run = source(base + k);
-      if (!run.ok()) {
-        BatchItemReport item;
-        item.index = base + k;
-        if (!ids.empty()) item.id = ids[base + k];
-        item.stage = "load";
-        item.status = run.status();
-        window_failed.push_back(std::move(item));
-        continue;
-      }
-      window_runs[k] = std::move(run).value();
-      loaded[k] = &window_runs[k];
-    }
-
-    ParallelForStatusCollect(
-        config.parallel, 0, batch, 1,
-        [&](std::size_t k) -> Status {
-          if (loaded[k] == nullptr) return Status::OK();
-          NP_FAULT_POINT_KEYED("pipeline.batch_item", base + k);
-          Result<PipelineOutput> result =
-              RunPipeline(*loaded[k], atlas, item_config);
-          window_runs[k] = image::Volume4D();  // release a loaded raw run
-          if (!result.ok()) return result.status();
-          results[k] = std::move(result).value();
-          succeeded[k] = 1;
-          return Status::OK();
-        },
-        &errors);
-
-    for (auto& [k, status] : errors) {
-      BatchItemReport item;
-      item.index = base + k;
-      if (!ids.empty()) item.id = ids[base + k];
-      item.stage = "pipeline";
-      item.status = std::move(status);
-      window_failed.push_back(std::move(item));
-    }
-    // Load and pipeline failures interleave; the report lists them in
-    // index order.
-    std::sort(window_failed.begin(), window_failed.end(),
-              [](const BatchItemReport& a, const BatchItemReport& b) {
-                return a.index < b.index;
-              });
-    for (BatchItemReport& item : window_failed) {
-      out.report.failed.push_back(std::move(item));
-    }
-
-    for (std::size_t k = 0; k < batch; ++k) {
-      if (!succeeded[k] || results[k].degraded_frames.empty()) continue;
-      BatchItemReport item;
-      item.index = base + k;
-      if (!ids.empty()) item.id = ids[base + k];
-      item.stage = "motion_correction";
-      for (std::size_t frame : results[k].degraded_frames) {
-        item.degradations.push_back(
-            StrFormat("identity_transform_frame_%zu", frame));
-      }
-      out.report.degraded.push_back(std::move(item));
-    }
-
-    // Spill phase — serial, ascending index, so spill columns are in
-    // survivor order.
-    for (std::size_t k = 0; k < batch; ++k) {
-      if (!succeeded[k]) continue;
-      PendingOutput p;
-      p.index = base + k;
-      if (spill.has_value()) {
-        p.spill_column = spill->num_columns();
-        p.rows = results[k].region_series.rows();
-        p.cols = results[k].region_series.cols();
-        const std::size_t count = p.rows * p.cols;
-        const double dummy = 0.0;
-        const double* data =
-            count > 0 ? results[k].region_series.RowPtr(0) : &dummy;
-        NP_RETURN_IF_ERROR(spill->AppendColumn(data, count));
-        results[k].region_series = linalg::Matrix();
-      }
-      p.output = std::move(results[k]);
-      results[k] = PipelineOutput();
-      pending.push_back(std::move(p));
-    }
-  }
-
-  if (!out.report.degraded.empty()) {
-    metrics::Count("batch.subjects_degraded", out.report.degraded.size());
-  }
-  NP_RETURN_IF_ERROR(ResolveBatch(config.failure_policy, out.report));
-  if (!out.report.failed.empty()) {
-    metrics::Count("batch.subjects_skipped", out.report.failed.size());
-  }
-
-  // Restore phase: read the spilled series back in survivor order.
-  std::vector<double> column;
-  for (PendingOutput& p : pending) {
-    if (spill.has_value()) {
-      NP_RETURN_IF_ERROR(spill->ReadColumn(p.spill_column, &column));
-      linalg::Matrix series(p.rows, p.cols);
-      if (p.rows * p.cols > 0) {
-        std::copy(column.begin(), column.end(), series.RowPtr(0));
-      }
-      p.output.region_series = std::move(series);
-    }
-    out.outputs.push_back(std::move(p.output));
-    out.indices.push_back(p.index);
-  }
-  return out;
+BatchItemReport ItemReport(std::size_t index,
+                           const std::vector<std::string>& ids,
+                           const char* stage) {
+  BatchItemReport item;
+  item.index = index;
+  if (!ids.empty()) item.id = ids[index];
+  item.stage = stage;
+  return item;
 }
 
 }  // namespace
 
-Result<PipelineBatchOutput> RunPipelineBatch(
-    const std::vector<image::Volume4D>& runs,
-    const std::vector<std::string>& ids, const atlas::Atlas& atlas,
-    const PipelineConfig& config) {
-  return RunBatch(&runs, nullptr, runs.size(), ids, atlas, config);
-}
-
-Result<PipelineBatchOutput> RunPipelineBatch(
-    const RunSource& source, std::size_t num_runs,
-    const std::vector<std::string>& ids, const atlas::Atlas& atlas,
-    const PipelineConfig& config) {
-  if (source == nullptr) {
-    return Status::InvalidArgument("RunPipelineBatch: null run source");
+Result<BatchReport> RunScansToColumns(const RunSource& source,
+                                      std::size_t num_runs,
+                                      const std::vector<std::string>& ids,
+                                      const atlas::Atlas& atlas,
+                                      const PipelineConfig& config,
+                                      const ColumnSink& sink) {
+  if (source == nullptr || sink == nullptr) {
+    return Status::InvalidArgument(
+        "RunScansToColumns: null run source or column sink");
   }
-  return RunBatch(nullptr, source, num_runs, ids, atlas, config);
+  if (!ids.empty() && ids.size() != num_runs) {
+    return Status::InvalidArgument(StrFormat(
+        "RunScansToColumns: %zu ids for %zu runs", ids.size(), num_runs));
+  }
+  trace::ScopedEnable trace_enable(config.trace.enabled);
+  // Installed once for the whole call; RunPipeline must not install it
+  // again per scan.
+  fault::ScopedSchedule fault_schedule(config.fault.schedule);
+  NP_RETURN_IF_ERROR(fault_schedule.status());
+  NP_TRACE_SCOPE("pipeline.batch");
+
+  PipelineConfig item_config = config;
+  item_config.fault.schedule.clear();
+  BatchReport report;
+  report.attempted = num_runs;
+  for (std::size_t i = 0; i < num_runs; ++i) {
+    const char* stage = nullptr;
+    std::vector<std::size_t> degraded_frames;
+    linalg::Vector column;
+    Status status = ScanToColumn(source, i, atlas, item_config, &stage,
+                                 &degraded_frames, &column);
+    if (!status.ok()) {
+      BatchItemReport item = ItemReport(i, ids, stage);
+      item.status = std::move(status);
+      report.failed.push_back(std::move(item));
+      if (config.failure_policy.mode == FailureMode::kFailFast) break;
+      continue;
+    }
+    if (!degraded_frames.empty()) {
+      BatchItemReport item = ItemReport(i, ids, "motion_correction");
+      for (std::size_t frame : degraded_frames) {
+        item.degradations.push_back(
+            StrFormat("identity_transform_frame_%zu", frame));
+      }
+      report.degraded.push_back(std::move(item));
+    }
+    NP_RETURN_IF_ERROR(sink(i, std::move(column)));
+  }
+
+  if (!report.degraded.empty()) {
+    metrics::Count("batch.subjects_degraded", report.degraded.size());
+  }
+  NP_RETURN_IF_ERROR(ResolveBatch(config.failure_policy, report));
+  if (!report.failed.empty()) {
+    metrics::Count("batch.subjects_skipped", report.failed.size());
+  }
+  return report;
 }
 
 }  // namespace neuroprint::preprocess

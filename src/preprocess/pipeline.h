@@ -16,6 +16,10 @@
 // to every series, so they commute with region averaging; applying them
 // after the atlas step is exact and orders of magnitude cheaper than
 // filtering every voxel.
+//
+// RunScansToColumns is the one scan-to-column path: it takes scans one at
+// a time from a source, through this pipeline and the connectome, to a
+// column sink, under a batch failure policy.
 
 #ifndef NEUROPRINT_PREPROCESS_PIPELINE_H_
 #define NEUROPRINT_PREPROCESS_PIPELINE_H_
@@ -81,21 +85,16 @@ struct PipelineConfig {
   /// util/trace.h).
   trace::TraceConfig trace;
 
-  /// Batch semantics for RunPipelineBatch: fail-fast (default, the
-  /// pre-existing behavior), skip-and-report, or quorum. A non-fail-fast
-  /// policy also arms the stage-level degradations (identity-transform
-  /// fallback for unregistrable frames).
+  /// Batch semantics for RunScansToColumns: fail-fast (default),
+  /// skip-and-report, or quorum. A non-fail-fast policy also arms
+  /// RunPipeline's stage-level degradations (identity-transform fallback
+  /// for unregistrable frames).
   FailurePolicy failure_policy;
 
   /// Fault injection for this call: a non-empty schedule replaces the
-  /// process schedule (NEUROPRINT_FAULT) for the run (see util/fault.h).
+  /// process schedule (NEUROPRINT_FAULT) for one RunPipeline or for a
+  /// whole RunScansToColumns call (see util/fault.h).
   fault::FaultConfig fault;
-
-  /// Bounded-memory knob for the streaming RunPipelineBatch overload: at
-  /// most this many raw runs are resident at once (0 = the whole batch).
-  /// Completed region series spill to disk (util/spill.h) until the batch
-  /// resolves. Never changes results or report contents, only peak RSS.
-  std::size_t max_in_flight = 0;
 };
 
 /// Preset matching the paper's resting-state processing.
@@ -121,42 +120,36 @@ Result<PipelineOutput> RunPipeline(const image::Volume4D& raw,
                                    const atlas::Atlas& atlas,
                                    const PipelineConfig& config);
 
-/// Survivors of a multi-run batch: outputs[k] is the pipeline output of
-/// runs[indices[k]]; the report names every dropped or degraded run.
-struct PipelineBatchOutput {
-  std::vector<PipelineOutput> outputs;
-  std::vector<std::size_t> indices;
-  BatchReport report;
-};
-
-/// Runs the pipeline over a batch of runs under config.failure_policy:
-/// fail-fast returns the lowest-index failure; skip-and-report / quorum
-/// drop failed runs into the report and keep going (see util/batch.h).
-/// `ids` labels the report entries and may be empty. The same batch loop
-/// as the RunSource overload, with the runs read in place: the window is
-/// the whole batch and nothing spills (config.max_in_flight is ignored).
-Result<PipelineBatchOutput> RunPipelineBatch(
-    const std::vector<image::Volume4D>& runs,
-    const std::vector<std::string>& ids, const atlas::Atlas& atlas,
-    const PipelineConfig& config);
-
-/// Produces run `i` on demand — e.g. read one NIfTI at a time via
-/// nifti::ReadNifti — so a cohort never has to materialize as a
-/// vector of volumes. A returned error fails that run (stage "load")
-/// under the batch failure policy, like any pipeline failure.
+/// Produces scan `i` on demand (e.g. one nifti::ReadNifti per call), so a
+/// cohort never has to materialize as a vector of volumes. A returned
+/// error fails that scan at stage "load" under the batch failure policy.
 using RunSource = std::function<Result<image::Volume4D>(std::size_t)>;
 
-/// Bounded-memory batch: identical outputs, report entries, and failure
-/// semantics to the vector overload over the same runs, but raw volumes
-/// are pulled from `source` in windows of config.max_in_flight and each
-/// window's region series spill to disk until the batch resolves. Peak
-/// RSS is O(max_in_flight) raw runs instead of O(num_runs); every run is
-/// attempted before the policy resolves, exactly like the vector
-/// overload. The `io.spill` fault point fires on the spill columns.
-Result<PipelineBatchOutput> RunPipelineBatch(
-    const RunSource& source, std::size_t num_runs,
-    const std::vector<std::string>& ids, const atlas::Atlas& atlas,
-    const PipelineConfig& config);
+/// Receives survivor `index`'s connectome column. A returned error stops
+/// RunScansToColumns, which returns it.
+using ColumnSink =
+    std::function<Status(std::size_t index, linalg::Vector column)>;
+
+/// The scan-to-column path. For i = 0, 1, ..., num_runs - 1 it loads scan
+/// i from `source`, runs RunPipeline, connectome::BuildConnectome(series,
+/// config.parallel) and connectome::VectorizeUpperTriangle, and passes the
+/// column to `sink` before it loads scan i + 1: one scan is in flight, and
+/// the only parallelism is config.parallel inside each step.
+///
+/// A failing scan is reported at stage "load", "pipeline" or "connectome";
+/// a survivor whose frames fell back to the identity transform is reported
+/// at stage "motion_correction". Fail-fast stops at the first failing scan
+/// and returns its Status, the lowest-index failure; skip-and-report and
+/// quorum run every scan, then resolve the batch (see util/batch.h). `ids`
+/// labels the report entries and may be empty. The sink keeps the columns
+/// it received before a failure. The `pipeline.batch_item` fault point,
+/// keyed by scan index, fails a scan at stage "pipeline".
+Result<BatchReport> RunScansToColumns(const RunSource& source,
+                                      std::size_t num_runs,
+                                      const std::vector<std::string>& ids,
+                                      const atlas::Atlas& atlas,
+                                      const PipelineConfig& config,
+                                      const ColumnSink& sink);
 
 /// The temporal-cleanup tail of the pipeline on an existing region x time
 /// matrix (used by the simulator's region-level fast path so both paths

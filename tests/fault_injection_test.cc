@@ -15,6 +15,7 @@
 #include <gtest/gtest.h>
 
 #include "atlas/synthetic_atlas.h"
+#include "connectome/connectome.h"
 #include "connectome/group_matrix.h"
 #include "connectome/group_matrix_io.h"
 #include "connectome/matrix_store.h"
@@ -411,8 +412,28 @@ class FaultInjectionPipelineTest : public ::testing::Test {
     return config;
   }
 
+  // Streams runs_ through the scan-to-column path; the sink records each
+  // survivor's index and column.
+  Result<BatchReport> RunColumns(const preprocess::PipelineConfig& config,
+                                 const std::vector<std::string>& ids) {
+    indices_.clear();
+    columns_.clear();
+    const preprocess::RunSource source =
+        [this](std::size_t i) -> Result<image::Volume4D> { return runs_[i]; };
+    const preprocess::ColumnSink sink = [this](std::size_t i,
+                                               linalg::Vector column) {
+      indices_.push_back(i);
+      columns_.push_back(std::move(column));
+      return Status::OK();
+    };
+    return preprocess::RunScansToColumns(source, runs_.size(), ids, atlas_,
+                                         config, sink);
+  }
+
   atlas::Atlas atlas_;
   std::vector<image::Volume4D> runs_;
+  std::vector<std::size_t> indices_;
+  std::vector<linalg::Vector> columns_;
 };
 
 TEST_F(FaultInjectionPipelineTest, MotionFailureDegradesToIdentityUnderSkip) {
@@ -477,29 +498,29 @@ TEST_F(FaultInjectionPipelineTest, BatchSkipsFailedRunAndReportsIt) {
   config.fault.schedule =
       "pipeline.batch_item#1=error:IOError:disk error (injected)";
   const std::vector<std::string> ids{"run-a", "run-b", "run-c"};
-  const auto batch =
-      preprocess::RunPipelineBatch(runs_, ids, atlas_, config);
-  ASSERT_TRUE(batch.ok()) << batch.status();
-  EXPECT_EQ(batch->outputs.size(), 2u);
-  EXPECT_EQ(batch->indices, (std::vector<std::size_t>{0, 2}));
-  ASSERT_EQ(batch->report.failed.size(), 1u);
-  EXPECT_EQ(batch->report.failed[0].index, 1u);
-  EXPECT_EQ(batch->report.failed[0].id, "run-b");
-  EXPECT_EQ(batch->report.failed[0].status.code(), StatusCode::kIOError);
+  const auto report = RunColumns(config, ids);
+  ASSERT_TRUE(report.ok()) << report.status();
+  EXPECT_EQ(indices_, (std::vector<std::size_t>{0, 2}));
+  ASSERT_EQ(report->failed.size(), 1u);
+  EXPECT_EQ(report->failed[0].index, 1u);
+  EXPECT_EQ(report->failed[0].id, "run-b");
+  EXPECT_EQ(report->failed[0].stage, "pipeline");
+  EXPECT_EQ(report->failed[0].status.code(), StatusCode::kIOError);
 
-  // Survivors match standalone runs of the same pipeline (no cross-talk
-  // from the failed item).
+  // The survivor's column is bit-equal to the standalone composition of
+  // the same steps (no cross-talk from the failed item).
   preprocess::PipelineConfig clean = FastConfig();
   const auto solo = preprocess::RunPipeline(runs_[2], atlas_, clean);
-  ASSERT_TRUE(solo.ok());
-  const linalg::Matrix& batched = batch->outputs[1].region_series;
-  ASSERT_EQ(batched.rows(), solo->region_series.rows());
-  ASSERT_EQ(batched.cols(), solo->region_series.cols());
-  for (std::size_t r = 0; r < batched.rows(); ++r) {
-    for (std::size_t t = 0; t < batched.cols(); ++t) {
-      ASSERT_EQ(batched(r, t), solo->region_series(r, t));
-    }
-  }
+  ASSERT_TRUE(solo.ok()) << solo.status();
+  const auto conn =
+      connectome::BuildConnectome(solo->region_series, clean.parallel);
+  ASSERT_TRUE(conn.ok()) << conn.status();
+  const auto want = connectome::VectorizeUpperTriangle(*conn);
+  ASSERT_TRUE(want.ok()) << want.status();
+  ASSERT_EQ(columns_[1].size(), want->size());
+  EXPECT_EQ(std::memcmp(columns_[1].data(), want->data(),
+                        want->size() * sizeof(double)),
+            0);
 }
 
 TEST_F(FaultInjectionPipelineTest, BatchFailsFastOnLowestIndexFailure) {
@@ -507,21 +528,22 @@ TEST_F(FaultInjectionPipelineTest, BatchFailsFastOnLowestIndexFailure) {
   config.fault.schedule =
       "pipeline.batch_item#1=error:IOError:first;"
       "pipeline.batch_item#2=error:Internal:second";
-  const std::vector<std::string> ids;
-  const auto batch = preprocess::RunPipelineBatch(runs_, ids, atlas_, config);
-  ASSERT_FALSE(batch.ok());
-  EXPECT_EQ(batch.status().code(), StatusCode::kIOError);
-  EXPECT_EQ(batch.status().message(), "first");
+  const auto report = RunColumns(config, {});
+  ASSERT_FALSE(report.ok());
+  EXPECT_EQ(report.status().code(), StatusCode::kIOError);
+  EXPECT_EQ(report.status().message(), "first");
+  // Scan 0 reached the sink before scan 1 failed; scan 2 never ran.
+  EXPECT_EQ(indices_, (std::vector<std::size_t>{0}));
 }
 
 TEST_F(FaultInjectionPipelineTest, AllItemsFailingIsAnErrorEvenUnderSkip) {
   preprocess::PipelineConfig config = FastConfig();
   config.failure_policy = FailurePolicy::SkipAndReport();
   config.fault.schedule = "pipeline.batch_item=error";
-  const std::vector<std::string> ids;
-  const auto batch = preprocess::RunPipelineBatch(runs_, ids, atlas_, config);
-  ASSERT_FALSE(batch.ok());
-  EXPECT_EQ(batch.status().code(), StatusCode::kFailedPrecondition);
+  const auto report = RunColumns(config, {});
+  ASSERT_FALSE(report.ok());
+  EXPECT_EQ(report.status().code(), StatusCode::kFailedPrecondition);
+  EXPECT_TRUE(indices_.empty());
 }
 
 // --- NIfTI read-path injection ----------------------------------------------
@@ -734,8 +756,7 @@ TEST(FaultInjectionServiceTest, SingleEnrollIsBatchItemZero) {
 }
 
 // ---------------------------------------------------------------------------
-// Out-of-core fault points: `io.stream` (file-backed tile reads) and
-// `io.spill` (the bounded pipeline batch's spill-file append / read-back).
+// Out-of-core fault point: `io.stream` (file-backed tile reads).
 
 std::string OutOfCoreTempPath(const std::string& name) {
   return ::testing::TempDir() + "/" + name;
@@ -832,42 +853,6 @@ TEST(FaultInjectionOutOfCoreTest, SpillWriteFailureLeavesIndexUntouched) {
   // With no fault armed the same call commits all ten subjects.
   ASSERT_TRUE(index->EnrollStream(store, nullptr, 4).ok());
   EXPECT_EQ(index->size(), 22u);
-}
-
-TEST_F(FaultInjectionPipelineTest, SpillFaultFailsBoundedBatch) {
-  preprocess::PipelineConfig config = FastConfig();
-  config.max_in_flight = 1;
-  config.failure_policy = FailurePolicy::SkipAndReport();
-  config.fault.schedule = "io.spill#0=error:IOError:spill device full "
-                          "(injected)";
-  const preprocess::RunSource source =
-      [this](std::size_t i) -> Result<image::Volume4D> { return runs_[i]; };
-  const auto batch =
-      preprocess::RunPipelineBatch(source, 3, {}, atlas_, config);
-  ASSERT_FALSE(batch.ok());
-  EXPECT_EQ(batch.status().code(), StatusCode::kIOError);
-
-  // Resident runs are read in place and never spilled: the vector overload
-  // under the same schedule succeeds, bit-equal to a clean run.
-  const auto resident = preprocess::RunPipelineBatch(runs_, {}, atlas_, config);
-  ASSERT_TRUE(resident.ok()) << resident.status();
-  config.fault.schedule.clear();
-  const auto clean = preprocess::RunPipelineBatch(runs_, {}, atlas_, config);
-  ASSERT_TRUE(clean.ok()) << clean.status();
-  EXPECT_EQ(resident->indices, clean->indices);
-  EXPECT_EQ(resident->report.ToString(), clean->report.ToString());
-  ASSERT_EQ(resident->outputs.size(), 3u);
-  ASSERT_EQ(clean->outputs.size(), 3u);
-  for (std::size_t k = 0; k < 3; ++k) {
-    const linalg::Matrix& got = resident->outputs[k].region_series;
-    const linalg::Matrix& want = clean->outputs[k].region_series;
-    ASSERT_EQ(got.rows(), want.rows());
-    ASSERT_EQ(got.cols(), want.cols());
-    EXPECT_EQ(std::memcmp(got.data(), want.data(),
-                          got.rows() * got.cols() * sizeof(double)),
-              0)
-        << "run " << k;
-  }
 }
 
 }  // namespace

@@ -2,28 +2,29 @@
 // and batch paths must give the same bits at every window size and thread
 // count as their GroupMatrix adapters (the window determinism contract of
 // connectome/matrix_store.h), a resident store must be read in place
-// unless a window is asked for, and the spill / file-backed stores must
-// round-trip bit-exactly and fail cleanly when their files disappear.
+// unless a window is asked for, file-backed stores must round-trip
+// bit-exactly and fail cleanly when their files disappear, and the
+// scan-to-column path must hold one scan in flight.
 
-#include <cstdio>
-#include <fstream>
+#include <cstring>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "atlas/synthetic_atlas.h"
+#include "connectome/connectome.h"
 #include "connectome/group_matrix_io.h"
 #include "connectome/matrix_store.h"
 #include "core/attack.h"
 #include "core/leverage.h"
+#include "linalg/simd/simd.h"
 #include "preprocess/pipeline.h"
 #include "service/identification_index.h"
 #include "service/synthetic_gallery.h"
 #include "sim/cohort.h"
 #include "sim/voxel_render.h"
 #include "util/random.h"
-#include "util/spill.h"
 
 namespace neuroprint {
 namespace {
@@ -83,6 +84,8 @@ void ExpectSameReport(const BatchReport& a, const BatchReport& b) {
   ASSERT_EQ(a.degraded.size(), b.degraded.size());
   for (std::size_t i = 0; i < a.degraded.size(); ++i) {
     EXPECT_EQ(a.degraded[i].index, b.degraded[i].index);
+    EXPECT_EQ(a.degraded[i].id, b.degraded[i].id);
+    EXPECT_EQ(a.degraded[i].stage, b.degraded[i].stage);
     EXPECT_EQ(a.degraded[i].degradations, b.degraded[i].degradations);
   }
 }
@@ -113,77 +116,6 @@ class CountingResidentStore final : public connectome::MatrixStore {
   const connectome::GroupMatrix* group_;
   mutable std::size_t reads_ = 0;
 };
-
-// --- Spill file lifecycle ---------------------------------------------------
-
-TEST(SpillFileTest, RoundTripIsBitExact) {
-  auto spill = SpillFile::Create();
-  ASSERT_TRUE(spill.ok()) << spill.status();
-  const std::vector<double> a{1.5, -2.25, 3.0e-300}, b{4.0};
-  ASSERT_TRUE(spill->AppendColumn(a.data(), a.size()).ok());
-  ASSERT_TRUE(spill->AppendColumn(b.data(), b.size()).ok());
-  EXPECT_EQ(spill->num_columns(), 2u);
-  std::vector<double> out;
-  ASSERT_TRUE(spill->ReadColumn(1, &out).ok());
-  EXPECT_EQ(out, b);
-  ASSERT_TRUE(spill->ReadColumn(0, &out).ok());
-  EXPECT_EQ(out, a);
-  EXPECT_EQ(spill->ReadColumn(2, &out).code(), StatusCode::kInvalidArgument);
-}
-
-TEST(SpillFileTest, DeletionMidBatchIsIOError) {
-  auto spill = SpillFile::Create();
-  ASSERT_TRUE(spill.ok()) << spill.status();
-  const std::vector<double> column{1.0, 2.0};
-  ASSERT_TRUE(spill->AppendColumn(column.data(), column.size()).ok());
-  ASSERT_EQ(std::remove(spill->path().c_str()), 0);
-  std::vector<double> out;
-  EXPECT_EQ(spill->ReadColumn(0, &out).code(), StatusCode::kIOError);
-}
-
-TEST(SpillFileTest, TruncationIsCorruptData) {
-  auto spill = SpillFile::Create();
-  ASSERT_TRUE(spill.ok()) << spill.status();
-  std::vector<double> column(64, 1.25);
-  ASSERT_TRUE(spill->AppendColumn(column.data(), column.size()).ok());
-  // Chop the tail of the backing file after the append flushed.
-  std::ifstream in(spill->path(), std::ios::binary);
-  std::string contents(16, '\0');
-  in.read(contents.data(), 16);
-  ASSERT_TRUE(in.good());
-  in.close();
-  std::ofstream(spill->path(), std::ios::binary | std::ios::trunc)
-      .write(contents.data(), 16);
-  std::vector<double> out;
-  EXPECT_EQ(spill->ReadColumn(0, &out).code(), StatusCode::kCorruptData);
-}
-
-TEST(SpillFileTest, DestructorUnlinksBackingFile) {
-  std::string path;
-  {
-    auto spill = SpillFile::Create();
-    ASSERT_TRUE(spill.ok()) << spill.status();
-    const double v = 1.0;
-    ASSERT_TRUE(spill->AppendColumn(&v, 1).ok());
-    path = spill->path();
-    EXPECT_TRUE(std::ifstream(path).good());
-  }
-  EXPECT_FALSE(std::ifstream(path).good());
-}
-
-TEST(SpillFileTest, MissingSpillDirectoryIsAnUpfrontError) {
-  // A misconfigured spill directory must fail at Create() with a message
-  // naming the directory and where it came from — not surface later as a
-  // cryptic open/write failure mid-batch.
-  const std::string missing =
-      ::testing::TempDir() + "/no_such_spill_dir/nested";
-  auto spill = SpillFile::Create(missing);
-  ASSERT_EQ(spill.status().code(), StatusCode::kIOError);
-  EXPECT_NE(spill.status().message().find(missing), std::string::npos)
-      << spill.status();
-  EXPECT_NE(spill.status().message().find("dir"), std::string::npos)
-      << spill.status();
-}
 
 // --- Window derivation ------------------------------------------------------
 
@@ -553,7 +485,7 @@ TEST_F(EnrollStreamTest, ResidentStoreIsReadInPlaceUnlessWindowed) {
   }
 }
 
-// --- Bounded pipeline batches -----------------------------------------------
+// --- Scan-to-column path ---------------------------------------------------
 
 class BoundedPipelineTest : public ::testing::Test {
  protected:
@@ -603,69 +535,181 @@ class BoundedPipelineTest : public ::testing::Test {
     };
   }
 
+  // The steps RunScansToColumns composes, run on scan `i` by hand.
+  linalg::Vector ComposeColumn(std::size_t i,
+                               const preprocess::PipelineConfig& config,
+                               std::vector<std::size_t>* degraded_frames) {
+    const auto output = preprocess::RunPipeline(runs_[i], atlas_, config);
+    EXPECT_TRUE(output.ok()) << output.status();
+    if (!output.ok()) return {};
+    *degraded_frames = output->degraded_frames;
+    const auto conn =
+        connectome::BuildConnectome(output->region_series, config.parallel);
+    EXPECT_TRUE(conn.ok()) << conn.status();
+    if (!conn.ok()) return {};
+    auto column = connectome::VectorizeUpperTriangle(*conn);
+    EXPECT_TRUE(column.ok()) << column.status();
+    return column.ok() ? std::move(column).value() : linalg::Vector();
+  }
+
   atlas::Atlas atlas_;
   std::vector<image::Volume4D> runs_;
 };
 
+// RunScansToColumns' columns equal the per-scan composition over the in-RAM
+// runs, at every thread count and on the scalar kernels, and its report
+// holds the same degradations as the scans run one by one.
 TEST_F(BoundedPipelineTest, BoundedBatchMatchesVectorOverload) {
   const std::vector<std::string> ids{"run-a", "run-b", "run-c"};
-  const preprocess::PipelineConfig config = FastConfig();
-  const auto want = preprocess::RunPipelineBatch(runs_, ids, atlas_, config);
-  ASSERT_TRUE(want.ok()) << want.status();
-  for (const std::size_t in_flight :
-       {std::size_t{1}, std::size_t{2}, std::size_t{0}}) {
-    preprocess::PipelineConfig bounded = FastConfig();
-    bounded.max_in_flight = in_flight;
-    const auto got = preprocess::RunPipelineBatch(SourceOverRuns(), 3, ids,
-                                                  atlas_, bounded);
-    ASSERT_TRUE(got.ok()) << got.status();
-    EXPECT_EQ(got->indices, want->indices);
-    ExpectSameReport(want->report, got->report);
-    ASSERT_EQ(got->outputs.size(), want->outputs.size());
-    for (std::size_t k = 0; k < want->outputs.size(); ++k) {
-      ExpectBitIdentical(got->outputs[k].region_series,
-                         want->outputs[k].region_series,
-                         "run " + std::to_string(k) + " in_flight=" +
-                             std::to_string(in_flight));
-      EXPECT_EQ(got->outputs[k].degraded_frames,
-                want->outputs[k].degraded_frames);
+  preprocess::PipelineConfig config = FastConfig();
+  config.failure_policy = FailurePolicy::SkipAndReport();
+  config.fault.schedule =
+      "pipeline.motion_correct#3=error;pipeline.motion_correct#7=error";
+
+  BatchReport want_report;
+  want_report.attempted = runs_.size();
+  std::vector<linalg::Vector> want;
+  for (std::size_t i = 0; i < runs_.size(); ++i) {
+    std::vector<std::size_t> frames;
+    want.push_back(ComposeColumn(i, config, &frames));
+    ASSERT_FALSE(frames.empty());
+    BatchItemReport item;
+    item.index = i;
+    item.id = ids[i];
+    item.stage = "motion_correction";
+    for (std::size_t frame : frames) {
+      item.degradations.push_back(
+          "identity_transform_frame_" + std::to_string(frame));
     }
+    want_report.degraded.push_back(std::move(item));
   }
+
+  auto check = [&](const preprocess::PipelineConfig& run_config,
+                   const std::string& what) {
+    std::vector<linalg::Vector> got;
+    const preprocess::ColumnSink sink = [&](std::size_t i,
+                                            linalg::Vector column) {
+      EXPECT_EQ(i, got.size()) << what;
+      got.push_back(std::move(column));
+      return Status::OK();
+    };
+    const auto report = preprocess::RunScansToColumns(
+        SourceOverRuns(), runs_.size(), ids, atlas_, run_config, sink);
+    ASSERT_TRUE(report.ok()) << what << ": " << report.status();
+    ExpectSameReport(want_report, *report);
+    ASSERT_EQ(got.size(), want.size()) << what;
+    for (std::size_t i = 0; i < want.size(); ++i) {
+      ASSERT_EQ(got[i].size(), want[i].size()) << what;
+      EXPECT_EQ(std::memcmp(got[i].data(), want[i].data(),
+                            want[i].size() * sizeof(double)),
+                0)
+          << what << ", scan " << i;
+    }
+  };
+  for (const std::size_t threads : kThreadCounts) {
+    preprocess::PipelineConfig threaded = config;
+    threaded.parallel.num_threads = threads;
+    check(threaded, std::to_string(threads) + " threads");
+  }
+  linalg::simd::ScopedIsa scalar(linalg::simd::Isa::kScalar);
+  check(config, "scalar kernels");
+}
+
+// One scan is in flight: source(i + 1) is only called once scan i's column
+// has reached the sink or scan i has failed.
+TEST_F(BoundedPipelineTest, OneScanInFlight) {
+  std::vector<std::string> events;
+  const preprocess::RunSource source =
+      [&](std::size_t i) -> Result<image::Volume4D> {
+    events.push_back("load " + std::to_string(i));
+    if (i == 1) return image::Volume4D();  // Fails in RunPipeline.
+    return runs_[i % runs_.size()];
+  };
+  const preprocess::ColumnSink sink = [&](std::size_t i, linalg::Vector) {
+    events.push_back("column " + std::to_string(i));
+    return Status::OK();
+  };
+  preprocess::PipelineConfig config = FastConfig();
+  config.parallel.num_threads = 4;
+  config.failure_policy = FailurePolicy::SkipAndReport();
+  const auto report =
+      preprocess::RunScansToColumns(source, 4, {}, atlas_, config, sink);
+  ASSERT_TRUE(report.ok()) << report.status();
+  EXPECT_EQ(events, (std::vector<std::string>{"load 0", "column 0", "load 1",
+                                              "load 2", "column 2", "load 3",
+                                              "column 3"}));
+  ASSERT_EQ(report->failed.size(), 1u);
+  EXPECT_EQ(report->failed[0].index, 1u);
+  EXPECT_EQ(report->failed[0].stage, "pipeline");
+  EXPECT_EQ(report->failed[0].status.code(), StatusCode::kInvalidArgument);
+}
+
+// A sink error is RunScansToColumns' result, whatever the failure policy, and no
+// later scan is read.
+TEST_F(BoundedPipelineTest, SinkErrorIsReturnedAndStopsReading) {
+  std::vector<std::size_t> loads;
+  const preprocess::RunSource source =
+      [&](std::size_t i) -> Result<image::Volume4D> {
+    loads.push_back(i);
+    return runs_[i];
+  };
+  const preprocess::ColumnSink sink = [](std::size_t i, linalg::Vector) {
+    if (i == 1) return Status::IOError("sink full (synthetic)");
+    return Status::OK();
+  };
+  preprocess::PipelineConfig config = FastConfig();
+  config.failure_policy = FailurePolicy::SkipAndReport();
+  const auto report =
+      preprocess::RunScansToColumns(source, 3, {}, atlas_, config, sink);
+  ASSERT_FALSE(report.ok());
+  EXPECT_EQ(report.status().code(), StatusCode::kIOError);
+  EXPECT_EQ(report.status().message(), "sink full (synthetic)");
+  EXPECT_EQ(loads, (std::vector<std::size_t>{0, 1}));
 }
 
 TEST_F(BoundedPipelineTest, LoadFailureIsReportedAtStageLoad) {
   const std::vector<std::string> ids{"run-a", "run-b", "run-c"};
   preprocess::PipelineConfig config = FastConfig();
   config.failure_policy = FailurePolicy::SkipAndReport();
-  config.max_in_flight = 1;
   const preprocess::RunSource source =
       [this](std::size_t i) -> Result<image::Volume4D> {
     if (i == 1) return Status::IOError("decode failed (synthetic)");
     return runs_[i];
   };
-  const auto got = preprocess::RunPipelineBatch(source, 3, ids, atlas_, config);
+  std::vector<std::size_t> indices;
+  const preprocess::ColumnSink sink = [&](std::size_t i, linalg::Vector) {
+    indices.push_back(i);
+    return Status::OK();
+  };
+  const auto got =
+      preprocess::RunScansToColumns(source, 3, ids, atlas_, config, sink);
   ASSERT_TRUE(got.ok()) << got.status();
-  EXPECT_EQ(got->indices, (std::vector<std::size_t>{0, 2}));
-  ASSERT_EQ(got->report.failed.size(), 1u);
-  EXPECT_EQ(got->report.failed[0].index, 1u);
-  EXPECT_EQ(got->report.failed[0].id, "run-b");
-  EXPECT_EQ(got->report.failed[0].stage, "load");
-  EXPECT_EQ(got->report.failed[0].status.code(), StatusCode::kIOError);
+  EXPECT_EQ(indices, (std::vector<std::size_t>{0, 2}));
+  ASSERT_EQ(got->failed.size(), 1u);
+  EXPECT_EQ(got->failed[0].index, 1u);
+  EXPECT_EQ(got->failed[0].id, "run-b");
+  EXPECT_EQ(got->failed[0].stage, "load");
+  EXPECT_EQ(got->failed[0].status.code(), StatusCode::kIOError);
 
   // Fail-fast propagates the load error directly.
-  preprocess::PipelineConfig fail_fast = FastConfig();
-  fail_fast.max_in_flight = 1;
-  const auto failed =
-      preprocess::RunPipelineBatch(source, 3, ids, atlas_, fail_fast);
+  const auto failed = preprocess::RunScansToColumns(source, 3, ids, atlas_,
+                                                    FastConfig(), sink);
   ASSERT_FALSE(failed.ok());
   EXPECT_EQ(failed.status().code(), StatusCode::kIOError);
 }
 
 TEST_F(BoundedPipelineTest, NullSourceIsInvalidArgument) {
-  const auto got = preprocess::RunPipelineBatch(preprocess::RunSource(), 2, {},
-                                                atlas_, FastConfig());
+  const preprocess::ColumnSink sink = [](std::size_t, linalg::Vector) {
+    return Status::OK();
+  };
+  const auto got = preprocess::RunScansToColumns(
+      preprocess::RunSource(), 2, {}, atlas_, FastConfig(), sink);
   ASSERT_FALSE(got.ok());
   EXPECT_EQ(got.status().code(), StatusCode::kInvalidArgument);
+  const auto no_sink = preprocess::RunScansToColumns(
+      SourceOverRuns(), 2, {}, atlas_, FastConfig(), preprocess::ColumnSink());
+  ASSERT_FALSE(no_sink.ok());
+  EXPECT_EQ(no_sink.status().code(), StatusCode::kInvalidArgument);
 }
 
 }  // namespace

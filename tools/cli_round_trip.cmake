@@ -4,6 +4,9 @@
 # preprocesses, builds connectomes and writes its match CSV. The check is
 # that both tools exit 0 and the CSV holds a header plus one row per
 # subject; accuracy is not asserted, since it is partial at this size.
+# Further runs check that a non-positive --features is a usage error
+# (exit 2), that a truncated scan is skipped and named, and that
+# --cache-dir reuses a cohort only for the same directory and flags.
 #
 #   cmake -DSIMULATE=<neuroprint_simulate> -DATTACK=<neuroprint_attack> \
 #         -DWORK_DIR=<scratch dir> -P tools/cli_round_trip.cmake
@@ -41,19 +44,97 @@ if(NOT attack_rc EQUAL 0)
   message(FATAL_ERROR "neuroprint_attack exited ${attack_rc}:\n${attack_out}")
 endif()
 
-if(NOT EXISTS "${csv}")
-  message(FATAL_ERROR "neuroprint_attack wrote no ${csv}:\n${attack_out}")
-endif()
-file(STRINGS "${csv}" lines)
-list(LENGTH lines line_count)
-math(EXPR expected "${subjects} + 1")
-if(NOT line_count EQUAL expected)
+# Fails unless `csv` holds the match header plus one row per subject.
+function(check_match_csv csv out)
+  if(NOT EXISTS "${csv}")
+    message(FATAL_ERROR "neuroprint_attack wrote no ${csv}:\n${out}")
+  endif()
+  file(STRINGS "${csv}" lines)
+  list(LENGTH lines line_count)
+  math(EXPR expected "${subjects} + 1")
+  if(NOT line_count EQUAL expected)
+    message(FATAL_ERROR
+      "${csv} has ${line_count} lines, expected a header plus ${subjects} "
+      "rows:\n${lines}")
+  endif()
+  list(GET lines 0 header)
+  if(NOT header STREQUAL "anonymous_scan,predicted_identity,correlation")
+    message(FATAL_ERROR "unexpected CSV header: ${header}")
+  endif()
+endfunction()
+check_match_csv("${csv}" "${attack_out}")
+
+# Runs neuroprint_attack on the fixture with `extra` arguments; sets
+# attack_rc and attack_out in the caller.
+function(run_attack)
+  execute_process(
+    COMMAND "${ATTACK}" --atlas "${WORK_DIR}/atlas.nii.gz"
+            --known "${WORK_DIR}/session1" --anonymous "${WORK_DIR}/session2"
+            ${ARGN}
+    RESULT_VARIABLE rc
+    OUTPUT_VARIABLE out
+    ERROR_VARIABLE out)
+  set(attack_rc "${rc}" PARENT_SCOPE)
+  set(attack_out "${out}" PARENT_SCOPE)
+endfunction()
+
+foreach(bad_features -5 0 12abc)
+  run_attack(--features ${bad_features})
+  if(NOT attack_rc EQUAL 2)
+    message(FATAL_ERROR
+      "--features ${bad_features} exited ${attack_rc}, expected 2:\n"
+      "${attack_out}")
+  endif()
+endforeach()
+
+# A truncated scan is skipped and named; the other subjects still match.
+file(WRITE "${WORK_DIR}/session1/bad.nii.gz" "abc")
+set(cache "${WORK_DIR}/cache")
+file(MAKE_DIRECTORY "${cache}")
+set(flags --features 150 --no-temporal-filter --cache-dir "${cache}")
+run_attack(${flags} --output "${WORK_DIR}/skip.csv")
+if(NOT attack_rc EQUAL 0)
   message(FATAL_ERROR
-    "${csv} has ${line_count} lines, expected a header plus ${subjects} "
-    "rows:\n${lines}")
+    "neuroprint_attack with a bad scan exited ${attack_rc}:\n${attack_out}")
 endif()
-list(GET lines 0 header)
-if(NOT header STREQUAL "anonymous_scan,predicted_identity,correlation")
-  message(FATAL_ERROR "unexpected CSV header: ${header}")
+check_match_csv("${WORK_DIR}/skip.csv" "${attack_out}")
+if(NOT attack_out MATCHES "skipping [^\n]*bad\\.nii\\.gz")
+  message(FATAL_ERROR "bad.nii.gz was not reported skipped:\n${attack_out}")
+endif()
+if(attack_out MATCHES "loaded [0-9]+ cached")
+  message(FATAL_ERROR "a fresh --cache-dir was read:\n${attack_out}")
+endif()
+
+# The same directories and flags reuse the cache, with the same matches.
+run_attack(${flags} --output "${WORK_DIR}/cached.csv")
+if(NOT attack_rc EQUAL 0 OR NOT attack_out MATCHES "loaded [0-9]+ cached")
+  message(FATAL_ERROR
+    "a rerun with the same flags did not load the cache (exit "
+    "${attack_rc}):\n${attack_out}")
+endif()
+file(READ "${WORK_DIR}/skip.csv" skip_csv)
+file(READ "${WORK_DIR}/cached.csv" cached_csv)
+if(NOT skip_csv STREQUAL cached_csv)
+  message(FATAL_ERROR "cached matches differ:\n${skip_csv}\n${cached_csv}")
+endif()
+
+# Other pipeline flags, or other directories, miss the cache.
+run_attack(${flags} --no-motion-correction)
+if(NOT attack_rc EQUAL 0 OR attack_out MATCHES "loaded [0-9]+ cached")
+  message(FATAL_ERROR
+    "a run with other flags reused the cache (exit ${attack_rc}):\n"
+    "${attack_out}")
+endif()
+execute_process(
+  COMMAND "${ATTACK}" --atlas "${WORK_DIR}/atlas.nii.gz"
+          --known "${WORK_DIR}/session2" --anonymous "${WORK_DIR}/session1"
+          ${flags}
+  RESULT_VARIABLE attack_rc
+  OUTPUT_VARIABLE attack_out
+  ERROR_VARIABLE attack_out)
+if(NOT attack_rc EQUAL 0 OR attack_out MATCHES "loaded [0-9]+ cached")
+  message(FATAL_ERROR
+    "a run over other directories reused the cache (exit ${attack_rc}):\n"
+    "${attack_out}")
 endif()
 file(REMOVE_RECURSE "${WORK_DIR}")

@@ -13,9 +13,14 @@
 // tool preprocesses each scan (Figure-4 pipeline), builds connectomes
 // over the atlas, fits leverage-score feature selection on the known
 // set, and prints the best identity match (with its correlation score)
-// for every anonymous scan.
+// for every anonymous scan. A scan that cannot be read or processed is
+// skipped and named on stderr; the rest of its directory still counts. A
+// frame that cannot be registered keeps the identity transform, and its
+// scan is named as degraded.
+// --features takes a positive integer.
 
 #include <algorithm>
+#include <charconv>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
@@ -30,6 +35,8 @@
 #include "core/signature_map.h"
 #include "nifti/nifti_io.h"
 #include "preprocess/pipeline.h"
+#include "util/batch.h"
+#include "util/crc32c.h"
 #include "util/csv_writer.h"
 #include "util/string_util.h"
 #include "util/trace.h"
@@ -63,6 +70,16 @@ void PrintUsage() {
       "                         [--cache-dir DIR]\n");
 }
 
+// Parses a positive decimal integer: no sign, no trailing characters.
+bool ParsePositive(const char* text, std::size_t* value) {
+  const char* end = text + std::strlen(text);
+  std::size_t parsed = 0;
+  const auto [ptr, ec] = std::from_chars(text, end, parsed);
+  if (ec != std::errc() || ptr != end || parsed == 0) return false;
+  *value = parsed;
+  return true;
+}
+
 bool ParseArgs(int argc, char** argv, CliOptions& options) {
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -87,8 +104,12 @@ bool ParseArgs(int argc, char** argv, CliOptions& options) {
       options.output_csv = v;
     } else if (arg == "--features") {
       const char* v = next();
-      if (v == nullptr) return false;
-      options.num_features = static_cast<std::size_t>(std::atoll(v));
+      if (v == nullptr || !ParsePositive(v, &options.num_features)) {
+        std::fprintf(stderr,
+                     "--features: expected a positive integer, got '%s'\n",
+                     v == nullptr ? "" : v);
+        return false;
+      }
     } else if (arg == "--no-motion-correction") {
       options.motion_correction = false;
     } else if (arg == "--task-filter") {
@@ -124,11 +145,8 @@ std::string SubjectIdFromPath(const fs::path& path) {
   return name;
 }
 
-// Scans a directory, preprocesses every NIfTI file, and assembles the
-// group matrix. Skips (with a warning) files that fail to process.
-Result<connectome::GroupMatrix> ProcessDirectory(
-    const std::string& dir, const atlas::Atlas& atlas,
-    const preprocess::PipelineConfig& pipeline) {
+// Lists the .nii/.nii.gz files of `dir`, sorted by name.
+Result<std::vector<fs::path>> ListScans(const std::string& dir) {
   std::vector<fs::path> files;
   std::error_code ec;
   for (const auto& entry : fs::directory_iterator(dir, ec)) {
@@ -141,36 +159,70 @@ Result<connectome::GroupMatrix> ProcessDirectory(
     return Status::NotFound("no .nii/.nii.gz files in " + dir);
   }
   std::sort(files.begin(), files.end());
+  return files;
+}
 
-  std::vector<linalg::Vector> columns;
-  std::vector<std::string> ids;
+// The cache file of one scan directory: `tag` plus a CRC-32C of the
+// canonical directory path, each scan's name and size, and the pipeline
+// flags, so another directory, changed scans or other flags miss the cache.
+std::string CachePath(const CliOptions& options, const std::string& dir,
+                      const std::vector<fs::path>& files, const char* tag) {
+  std::error_code ec;
+  const fs::path canonical = fs::canonical(dir, ec);
+  std::string key = ec ? dir : canonical.string();
   for (const fs::path& file : files) {
-    auto image = nifti::ReadNifti(file.string());
-    if (!image.ok()) {
-      std::fprintf(stderr, "  skipping %s: %s\n", file.c_str(),
-                   image.status().ToString().c_str());
-      continue;
-    }
-    auto output = preprocess::RunPipeline(image->data, atlas, pipeline);
-    if (!output.ok()) {
-      std::fprintf(stderr, "  skipping %s: %s\n", file.c_str(),
-                   output.status().ToString().c_str());
-      continue;
-    }
-    auto conn = connectome::BuildConnectome(output->region_series);
-    if (!conn.ok()) {
-      std::fprintf(stderr, "  skipping %s: %s\n", file.c_str(),
-                   conn.status().ToString().c_str());
-      continue;
-    }
-    auto features = connectome::VectorizeUpperTriangle(*conn);
-    if (!features.ok()) continue;
-    columns.push_back(std::move(features).value());
-    ids.push_back(SubjectIdFromPath(file));
-    std::printf("  processed %s (%zu frames)\n", file.filename().c_str(),
-                image->data.nt());
+    const std::uintmax_t size = fs::file_size(file, ec);
+    key += '\0' + file.filename().string() + '\0' +
+           std::to_string(ec ? 0 : size);
   }
-  return connectome::GroupMatrix::FromFeatureColumns(columns, ids);
+  key.push_back('\0');
+  key += StrFormat("motion_correction=%d task_filter=%d temporal_filter=%d",
+                   options.motion_correction, options.task_filter,
+                   options.temporal_filter);
+  return StrFormat("%s/%s-%08x.npgm", options.cache_dir.c_str(), tag,
+                   crc32c::Value(key.data(), key.size()));
+}
+
+// Runs every scan through the scan-to-column path under skip-and-report
+// and assembles the survivors' group matrix. Each failed scan, and each
+// kept scan with frames registered by the identity fallback, is named on
+// stderr.
+Result<connectome::GroupMatrix> ProcessDirectory(
+    const std::vector<fs::path>& files, const atlas::Atlas& atlas,
+    preprocess::PipelineConfig pipeline) {
+  pipeline.failure_policy = FailurePolicy::SkipAndReport();
+  std::vector<std::string> ids;
+  for (const fs::path& file : files) ids.push_back(SubjectIdFromPath(file));
+  std::vector<std::size_t> frames(files.size(), 0);
+  const preprocess::RunSource source =
+      [&](std::size_t i) -> Result<image::Volume4D> {
+    auto image = nifti::ReadNifti(files[i].string());
+    if (!image.ok()) return image.status();
+    frames[i] = image->data.nt();
+    return std::move(image->data);
+  };
+  std::vector<linalg::Vector> columns;
+  std::vector<std::string> survivor_ids;
+  const preprocess::ColumnSink sink = [&](std::size_t i,
+                                          linalg::Vector column) {
+    columns.push_back(std::move(column));
+    survivor_ids.push_back(ids[i]);
+    std::printf("  processed %s (%zu frames)\n", files[i].filename().c_str(),
+                frames[i]);
+    return Status::OK();
+  };
+  auto report = preprocess::RunScansToColumns(source, files.size(), ids,
+                                              atlas, pipeline, sink);
+  if (!report.ok()) return report.status();
+  for (const BatchItemReport& item : report->failed) {
+    std::fprintf(stderr, "  skipping %s: %s\n", files[item.index].c_str(),
+                 item.status.ToString().c_str());
+  }
+  for (const BatchItemReport& item : report->degraded) {
+    std::fprintf(stderr, "  degraded %s: %s\n", files[item.index].c_str(),
+                 StrJoin(item.degradations, ", ").c_str());
+  }
+  return connectome::GroupMatrix::FromFeatureColumns(columns, survivor_ids);
 }
 
 }  // namespace
@@ -200,15 +252,16 @@ int main(int argc, char** argv) {
   }
 
   // Preprocessing dominates runtime, so feature matrices can be cached:
-  // with --cache-dir, a directory whose cache file exists is loaded
-  // instead of reprocessed.
+  // with --cache-dir, a directory whose cache file (named by CachePath)
+  // exists is loaded instead of reprocessed.
   auto load_or_process =
       [&](const std::string& dir,
           const char* tag) -> Result<connectome::GroupMatrix> {
+    auto files = ListScans(dir);
+    if (!files.ok()) return files.status();
     const std::string cache_path =
-        options.cache_dir.empty()
-            ? std::string()
-            : options.cache_dir + "/" + tag + ".npgm";
+        options.cache_dir.empty() ? std::string()
+                                  : CachePath(options, dir, *files, tag);
     if (!cache_path.empty()) {
       auto cached = connectome::ReadGroupMatrix(cache_path);
       if (cached.ok()) {
@@ -218,7 +271,7 @@ int main(int argc, char** argv) {
       }
     }
     std::printf("processing scans in %s:\n", dir.c_str());
-    auto group = ProcessDirectory(dir, *atlas, pipeline);
+    auto group = ProcessDirectory(*files, *atlas, pipeline);
     if (group.ok() && !cache_path.empty()) {
       const Status cached = connectome::WriteGroupMatrix(cache_path, *group);
       if (cached.ok()) {
