@@ -10,12 +10,15 @@ double SampleTrilinear(const Volume3D& v, double x, double y, double z,
   const double max_x = static_cast<double>(v.nx()) - 1.0;
   const double max_y = static_cast<double>(v.ny()) - 1.0;
   const double max_z = static_cast<double>(v.nz()) - 1.0;
-  if (x < 0.0 || y < 0.0 || z < 0.0 || x > max_x || y > max_y || z > max_z) {
-    return outside_value;
+  if (!(x >= 0.0 && y >= 0.0 && z >= 0.0 && x <= max_x && y <= max_y &&
+        z <= max_z)) {
+    return outside_value;  // Also for a NaN coordinate.
   }
-  const auto x0 = static_cast<std::size_t>(std::floor(x));
-  const auto y0 = static_cast<std::size_t>(std::floor(y));
-  const auto z0 = static_cast<std::size_t>(std::floor(z));
+  // Truncation is floor on these non-negative coordinates, without a libm
+  // call.
+  const auto x0 = static_cast<std::size_t>(static_cast<std::ptrdiff_t>(x));
+  const auto y0 = static_cast<std::size_t>(static_cast<std::ptrdiff_t>(y));
+  const auto z0 = static_cast<std::size_t>(static_cast<std::ptrdiff_t>(z));
   const std::size_t x1 = std::min(x0 + 1, v.nx() - 1);
   const std::size_t y1 = std::min(y0 + 1, v.ny() - 1);
   const std::size_t z1 = std::min(z0 + 1, v.nz() - 1);

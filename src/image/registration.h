@@ -1,7 +1,8 @@
 // Rigid-body registration: estimates the 6-DoF transform aligning a moving
-// volume to a reference by minimizing mean squared intensity error with a
-// derivative-free coordinate-descent search (Powell-style, multi-resolution
-// step schedule). This is the estimation half of head-motion correction.
+// volume to a reference by minimizing mean squared intensity error with
+// Gauss–Newton least squares (analytic trilinear gradients, the realignment
+// scheme of SPM realign and FSL MCFLIRT). This is the estimation half of
+// head-motion correction.
 
 #ifndef NEUROPRINT_IMAGE_REGISTRATION_H_
 #define NEUROPRINT_IMAGE_REGISTRATION_H_
@@ -16,13 +17,6 @@
 namespace neuroprint::image {
 
 struct RegistrationOptions {
-  /// Initial search steps: voxels for translations, radians for rotations.
-  double initial_translation_step = 1.0;
-  double initial_rotation_step = 0.02;
-  /// The search halves the steps this many times (resolution levels).
-  int refinement_levels = 5;
-  /// Coordinate-descent passes per level.
-  int passes_per_level = 4;
   /// Evaluate the cost on every k-th voxel per axis (speed knob).
   std::size_t sample_stride = 1;
   /// Graceful degradation for MotionCorrect: when registering a frame
@@ -43,7 +37,11 @@ double RegistrationCost(const Volume3D& reference, const Volume3D& moving,
                         const RigidTransform& t, std::size_t sample_stride = 1);
 
 /// Estimates the rigid transform such that resampling `moving` by it best
-/// matches `reference`. Dimensions must agree.
+/// matches `reference`. Dimensions must agree. Starts from the identity and
+/// takes only steps that lower the cost, so a featureless `moving` (constant
+/// or all zero: no gradient, a singular system) yields the identity.
+/// Serial and deterministic: the same inputs give the same bits on any
+/// thread and any ISA.
 Result<RegistrationResult> RegisterRigid(
     const Volume3D& reference, const Volume3D& moving,
     const RegistrationOptions& options = {});

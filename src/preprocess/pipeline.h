@@ -45,6 +45,12 @@
 
 namespace neuroprint::preprocess {
 
+/// Version of what RunPipeline computes. It changes whenever the same scans
+/// and the same PipelineConfig give different output, so a cache of
+/// pipeline results keyed on it misses results written by another version.
+/// 2: Gauss–Newton motion correction replaced the coordinate search.
+inline constexpr int kPipelineVersion = 2;
+
 /// Temporal filtering profile.
 enum class TemporalFilter {
   kNone,

@@ -12,6 +12,7 @@
 #include "image/resample.h"
 #include "image/smooth.h"
 #include "image/volume.h"
+#include "registration_search_oracle.h"
 #include "util/random.h"
 
 namespace neuroprint::image {
@@ -259,28 +260,42 @@ TEST(MaskTest, AllZeroImageRejected) {
 // ---------------------------------------------------------------------------
 // Registration
 
+// Asymmetric two-blob image: a single radially symmetric blob would leave
+// rotation unobservable.
+Volume3D TwoBlobVolume() {
+  Volume3D v = BlobVolume(20, 10, 8, 11, 4.0);
+  const Volume3D second = BlobVolume(20, 14, 13, 7, 2.5);
+  for (std::size_t i = 0; i < v.size(); ++i) {
+    v.flat()[i] += 0.7f * second.flat()[i];
+  }
+  return v;
+}
+
+// Every parameter negated: the inverse motion, up to the rotation order,
+// which the small angles planted here make negligible.
+RigidTransform Negated(const RigidTransform& t) {
+  return {-t.translate_x, -t.translate_y, -t.translate_z,
+          -t.rotate_x,    -t.rotate_y,    -t.rotate_z};
+}
+
+double ParameterRms(const RigidTransform& estimate,
+                    const RigidTransform& truth) {
+  const auto e = estimate.AsArray();
+  const auto t = truth.AsArray();
+  double sum = 0.0;
+  for (std::size_t k = 0; k < 6; ++k) sum += (e[k] - t[k]) * (e[k] - t[k]);
+  return std::sqrt(sum / 6.0);
+}
+
 class RegistrationRecoveryTest
     : public ::testing::TestWithParam<RigidTransform> {};
 
 TEST_P(RegistrationRecoveryTest, RecoversKnownTransform) {
   const RigidTransform truth = GetParam();
-  // Asymmetric two-blob image: a single radially symmetric blob would
-  // leave rotation unobservable.
-  Volume3D reference = BlobVolume(20, 10, 8, 11, 4.0);
-  const Volume3D second = BlobVolume(20, 14, 13, 7, 2.5);
-  for (std::size_t i = 0; i < reference.size(); ++i) {
-    reference.flat()[i] += 0.7f * second.flat()[i];
-  }
+  const Volume3D reference = TwoBlobVolume();
   // Moving image: reference displaced by the INVERSE motion, so aligning
   // it back needs exactly `truth`.
-  RigidTransform inverse_motion;
-  inverse_motion.translate_x = -truth.translate_x;
-  inverse_motion.translate_y = -truth.translate_y;
-  inverse_motion.translate_z = -truth.translate_z;
-  inverse_motion.rotate_x = -truth.rotate_x;
-  inverse_motion.rotate_y = -truth.rotate_y;
-  inverse_motion.rotate_z = -truth.rotate_z;
-  const auto moving = ResampleRigid(reference, inverse_motion);
+  const auto moving = ResampleRigid(reference, Negated(truth));
   ASSERT_TRUE(moving.ok());
 
   RegistrationOptions options;
@@ -291,6 +306,8 @@ TEST_P(RegistrationRecoveryTest, RecoversKnownTransform) {
   EXPECT_NEAR(reg->transform.translate_z, truth.translate_z, 0.25);
   // Rotations are small in this sweep; the rotation/translation trade-off
   // near a radially symmetric blob bounds achievable precision.
+  EXPECT_NEAR(reg->transform.rotate_x, truth.rotate_x, 0.05);
+  EXPECT_NEAR(reg->transform.rotate_y, truth.rotate_y, 0.05);
   EXPECT_NEAR(reg->transform.rotate_z, truth.rotate_z, 0.05);
 }
 
@@ -300,7 +317,9 @@ INSTANTIATE_TEST_SUITE_P(
                       RigidTransform{1.0, 0, 0, 0, 0, 0},
                       RigidTransform{-0.8, 1.2, 0.5, 0, 0, 0},
                       RigidTransform{0.4, -0.3, 0.9, 0, 0, 0.04},
-                      RigidTransform{2.0, 1.5, -1.0, 0, 0, 0}));
+                      RigidTransform{2.0, 1.5, -1.0, 0, 0, 0},
+                      RigidTransform{0.3, 0.6, -0.4, 0.04, 0, 0},
+                      RigidTransform{-0.5, 0.2, 0.7, 0, -0.04, 0}));
 
 TEST(RegistrationTest, CostIsZeroAtPerfectAlignment) {
   const Volume3D v = BlobVolume(12, 6, 6, 6);
@@ -314,6 +333,53 @@ TEST(RegistrationTest, RejectsMismatchedDims) {
   const Volume3D a = BlobVolume(8, 4, 4, 4);
   const Volume3D b = BlobVolume(10, 5, 5, 5);
   EXPECT_FALSE(RegisterRigid(a, b).ok());
+}
+
+// A featureless moving image has a zero gradient, so the 6x6 normal
+// equations are singular: registration must stop at the identity, not fail
+// or produce NaN.
+TEST(RegistrationTest, ConstantVolumeRegistersToIdentity) {
+  const Volume3D constant(12, 12, 12, 250.0f);
+  for (const Volume3D& reference : {constant, BlobVolume(12, 6, 5, 7)}) {
+    const auto reg = RegisterRigid(reference, constant);
+    ASSERT_TRUE(reg.ok()) << reg.status();
+    EXPECT_TRUE(reg->transform.IsApproxIdentity(0.0));
+    EXPECT_TRUE(std::isfinite(reg->final_cost));
+  }
+}
+
+TEST(RegistrationTest, AllZeroVolumeRegistersToIdentity) {
+  const Volume3D zero(12, 12, 12);
+  for (const Volume3D& reference : {zero, BlobVolume(12, 6, 5, 7)}) {
+    const auto reg = RegisterRigid(reference, zero);
+    ASSERT_TRUE(reg.ok()) << reg.status();
+    EXPECT_TRUE(reg->transform.IsApproxIdentity(0.0));
+    EXPECT_TRUE(std::isfinite(reg->final_cost));
+  }
+}
+
+// On the rotation cases of the sweep above, Gauss–Newton lands at least as
+// close to the planted transform as the derivative-free search oracle (RMS
+// over the six parameters, voxels and radians mixed as in the sweep's
+// tolerances).
+TEST(RegistrationTest, RecoversRotationsAsWellAsSearchOracle) {
+  const Volume3D reference = TwoBlobVolume();
+  for (const RigidTransform& truth :
+       {RigidTransform{0.4, -0.3, 0.9, 0, 0, 0.04},
+        RigidTransform{0.3, 0.6, -0.4, 0.04, 0, 0},
+        RigidTransform{-0.5, 0.2, 0.7, 0, -0.04, 0}}) {
+    const auto moving = ResampleRigid(reference, Negated(truth));
+    ASSERT_TRUE(moving.ok());
+    const auto reg = RegisterRigid(reference, *moving);
+    ASSERT_TRUE(reg.ok());
+    const RegistrationResult oracle = SearchRegisterRigid(reference, *moving);
+    const double gn_rms = ParameterRms(reg->transform, truth);
+    const double oracle_rms = ParameterRms(oracle.transform, truth);
+    EXPECT_LE(gn_rms, oracle_rms)
+        << "planted (" << truth.translate_x << ", " << truth.translate_y
+        << ", " << truth.translate_z << ", " << truth.rotate_x << ", "
+        << truth.rotate_y << ", " << truth.rotate_z << ")";
+  }
 }
 
 TEST(MotionCorrectTest, UndoesPlantedMotion) {
@@ -339,6 +405,23 @@ TEST(MotionCorrectTest, UndoesPlantedMotion) {
   const double raw_cost = RegistrationCost(base, raw3, RigidTransform{});
   const double fixed_cost = RegistrationCost(base, fixed3, RigidTransform{});
   EXPECT_LT(fixed_cost, 0.35 * raw_cost);
+}
+
+// A blank frame (dropout) registers to the identity under fail-fast: it is
+// neither an error nor a degraded frame, and nothing turns NaN.
+TEST(MotionCorrectTest, BlankFrameStaysIdentityUnderFailFast) {
+  const Volume3D base = BlobVolume(16, 8, 7, 9, 3.0);
+  Volume4D run(16, 16, 16, 4);
+  for (std::size_t t = 0; t < 4; ++t) {
+    if (t != 2) run.SetVolume(t, base);
+  }
+  RegistrationOptions options;
+  ASSERT_FALSE(options.identity_fallback_on_failure);
+  const auto corrected = MotionCorrect(run, options);
+  ASSERT_TRUE(corrected.ok()) << corrected.status();
+  EXPECT_TRUE(corrected->degraded_frames.empty());
+  EXPECT_TRUE(corrected->motion[2].IsApproxIdentity(0.0));
+  EXPECT_TRUE(corrected->corrected.AllFinite());
 }
 
 }  // namespace

@@ -1,6 +1,8 @@
 // Tests for slice-time correction and the full Figure-4 pipeline: every
 // stage must remove its planted artifact without destroying the signal.
 
+#include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstring>
 #include <numbers>
@@ -8,10 +10,13 @@
 #include <gtest/gtest.h>
 
 #include "atlas/synthetic_atlas.h"
+#include "image/registration.h"
+#include "image/resample.h"
 #include "linalg/stats.h"
 #include "linalg/vector_ops.h"
 #include "preprocess/pipeline.h"
 #include "preprocess/slice_timing.h"
+#include "registration_search_oracle.h"
 #include "signal/filters.h"
 #include "sim/cohort.h"
 #include "sim/voxel_render.h"
@@ -324,6 +329,77 @@ TEST_F(PipelineIntegrationTest, StageTimingsRecorded) {
   const auto output = RunPipeline(*run, atlas_, config);
   ASSERT_TRUE(output.ok()) << output.status();
   EXPECT_GE(output->stage_seconds.size(), 5u);
+}
+
+// Head motion as the end-to-end benchmark plants it: a rendered resting run
+// on its 24x28x24 grid, every frame displaced along one bounded random walk
+// of 0.02 voxels per frame and axis. At this size the walk stays within a
+// few tenths of a voxel, where frame-to-frame BOLD signal and noise dominate
+// the cost; Gauss–Newton must track the planted path no worse than the
+// derivative-free search oracle, up to kSlack voxels of RMS error.
+TEST(MotionTrackingTest, FollowsPlantedRandomWalkAsWellAsSearchOracle) {
+  constexpr std::size_t kFrames = 60;
+  constexpr double kStep = 0.02;
+  constexpr double kSlack = 0.005;  // A quarter of the per-frame step.
+  atlas::SyntheticAtlasConfig atlas_config;
+  atlas_config.nx = 24;
+  atlas_config.ny = 28;
+  atlas_config.nz = 24;
+  atlas_config.num_regions = 100;
+  atlas_config.seed = 5;
+  auto atlas = atlas::GenerateSyntheticAtlas(atlas_config);
+  ASSERT_TRUE(atlas.ok());
+  sim::CohortConfig cohort_config;
+  cohort_config.seed = 11;
+  cohort_config.num_subjects = 2;
+  cohort_config.num_regions = 100;
+  cohort_config.frames_override = kFrames;
+  auto cohort = sim::CohortSimulator::Create(cohort_config);
+  ASSERT_TRUE(cohort.ok());
+  auto series = cohort->SimulateRegionSeries(0, sim::TaskType::kRest,
+                                             sim::Encoding::kLeftRight);
+  ASSERT_TRUE(series.ok());
+  Rng rng(13);
+  sim::VoxelRenderConfig render;
+  render.drift_amplitude = 12.0;
+  auto run = sim::RenderVoxelRun(*atlas, *series, render, rng);
+  ASSERT_TRUE(run.ok());
+
+  const image::Volume3D reference = run->ExtractVolume(0);
+  image::RegistrationOptions options;
+  options.sample_stride = 2;  // As the attack CLI and the benchmark run it.
+  image::SearchOracleOptions oracle_options;
+  oracle_options.sample_stride = 2;
+  image::RigidTransform position;
+  double gn_sq = 0.0, oracle_sq = 0.0;
+  for (std::size_t t = 1; t < kFrames; ++t) {
+    for (double* axis : {&position.translate_x, &position.translate_y,
+                         &position.translate_z}) {
+      *axis = std::clamp(*axis + rng.Gaussian(0.0, kStep), -1.5, 1.5);
+    }
+    auto frame = image::ResampleRigid(run->ExtractVolume(t), position);
+    ASSERT_TRUE(frame.ok());
+    // Aligning the frame back to the reference undoes the planted shift.
+    const std::array<double, 6> truth = {-position.translate_x,
+                                         -position.translate_y,
+                                         -position.translate_z, 0, 0, 0};
+    const auto reg = image::RegisterRigid(reference, *frame, options);
+    ASSERT_TRUE(reg.ok()) << reg.status();
+    const auto gn = reg->transform.AsArray();
+    const auto search =
+        image::SearchRegisterRigid(reference, *frame, oracle_options)
+            .transform.AsArray();
+    for (std::size_t k = 0; k < 6; ++k) {
+      gn_sq += (gn[k] - truth[k]) * (gn[k] - truth[k]);
+      oracle_sq += (search[k] - truth[k]) * (search[k] - truth[k]);
+    }
+  }
+  const double samples = 6.0 * static_cast<double>(kFrames - 1);
+  const double gn_rms = std::sqrt(gn_sq / samples);
+  const double oracle_rms = std::sqrt(oracle_sq / samples);
+  EXPECT_LE(gn_rms, oracle_rms + kSlack)
+      << "RMS error against the planted path: Gauss-Newton " << gn_rms
+      << ", search oracle " << oracle_rms;
 }
 
 }  // namespace

@@ -6,7 +6,8 @@
 # subject; accuracy is not asserted, since it is partial at this size.
 # Further runs check that a non-positive --features is a usage error
 # (exit 2), that a truncated scan is skipped and named, and that
-# --cache-dir reuses a cohort only for the same directory and flags.
+# --cache-dir reuses a cohort only for the same directory and flags, and
+# that a --cache-dir that does not exist is a warning, not a failure.
 #
 #   cmake -DSIMULATE=<neuroprint_simulate> -DATTACK=<neuroprint_attack> \
 #         -DWORK_DIR=<scratch dir> -P tools/cli_round_trip.cmake
@@ -136,5 +137,21 @@ if(NOT attack_rc EQUAL 0 OR attack_out MATCHES "loaded [0-9]+ cached")
   message(FATAL_ERROR
     "a run over other directories reused the cache (exit ${attack_rc}):\n"
     "${attack_out}")
+endif()
+
+# A cache directory that does not exist: the run still succeeds, and the
+# failed cache write is named on stderr.
+set(missing_cache "${WORK_DIR}/no-such-cache-dir")
+run_attack(--features 150 --no-temporal-filter --cache-dir "${missing_cache}"
+           --output "${WORK_DIR}/uncached.csv")
+if(NOT attack_rc EQUAL 0)
+  message(FATAL_ERROR
+    "a missing --cache-dir exited ${attack_rc}, expected 0:\n${attack_out}")
+endif()
+check_match_csv("${WORK_DIR}/uncached.csv" "${attack_out}")
+if(NOT attack_out MATCHES
+   "warning: cannot write feature cache [^\n]*no-such-cache-dir")
+  message(FATAL_ERROR
+    "the failed cache write was not reported:\n${attack_out}")
 endif()
 file(REMOVE_RECURSE "${WORK_DIR}")

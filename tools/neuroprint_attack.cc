@@ -163,8 +163,9 @@ Result<std::vector<fs::path>> ListScans(const std::string& dir) {
 }
 
 // The cache file of one scan directory: `tag` plus a CRC-32C of the
-// canonical directory path, each scan's name and size, and the pipeline
-// flags, so another directory, changed scans or other flags miss the cache.
+// canonical directory path, each scan's name and size, the pipeline flags
+// and the pipeline version, so another directory, changed scans, other
+// flags or a build whose preprocessing differs miss the cache.
 std::string CachePath(const CliOptions& options, const std::string& dir,
                       const std::vector<fs::path>& files, const char* tag) {
   std::error_code ec;
@@ -176,9 +177,11 @@ std::string CachePath(const CliOptions& options, const std::string& dir,
            std::to_string(ec ? 0 : size);
   }
   key.push_back('\0');
-  key += StrFormat("motion_correction=%d task_filter=%d temporal_filter=%d",
-                   options.motion_correction, options.task_filter,
-                   options.temporal_filter);
+  key += StrFormat(
+      "pipeline_version=%d motion_correction=%d task_filter=%d "
+      "temporal_filter=%d",
+      preprocess::kPipelineVersion, options.motion_correction,
+      options.task_filter, options.temporal_filter);
   return StrFormat("%s/%s-%08x.npgm", options.cache_dir.c_str(), tag,
                    crc32c::Value(key.data(), key.size()));
 }
@@ -273,9 +276,14 @@ int main(int argc, char** argv) {
     std::printf("processing scans in %s:\n", dir.c_str());
     auto group = ProcessDirectory(*files, *atlas, pipeline);
     if (group.ok() && !cache_path.empty()) {
+      // A cache that cannot be written costs only the next run's time, so
+      // it is a warning, not a failure.
       const Status cached = connectome::WriteGroupMatrix(cache_path, *group);
       if (cached.ok()) {
         std::printf("cached features to %s\n", cache_path.c_str());
+      } else {
+        std::fprintf(stderr, "warning: cannot write feature cache %s: %s\n",
+                     cache_path.c_str(), cached.ToString().c_str());
       }
     }
     return group;
