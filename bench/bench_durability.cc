@@ -10,7 +10,10 @@
 //
 // Invariants checked on every run (NP_CHECK, so CI smoke fails loudly):
 // the reopened and rebuilt indexes hold the same identities and answer a
-// brute-force probe batch with bitwise-identical similarities. In full
+// brute-force probe batch with bitwise-identical similarities, and the
+// journal grows by less than one full column (features x 8 bytes) per
+// enrolled subject: an enroll record of this lean index carries the
+// fingerprint, not the column. In full
 // mode (5k subjects) replay must be >= 5x faster than re-enrollment —
 // the ROADMAP acceptance bar for the durability layer; at smoke scale
 // the ratio is only recorded (the fixed costs dominate a 600-subject
@@ -91,7 +94,7 @@ int main(int argc, char** argv) {
   gallery.parallel.num_threads = flag_threads;
   const std::size_t reference_subjects = fast ? 64 : 128;
   // Subjects enrolled after the last checkpoint: their journal records
-  // (full columns) are what replay-on-open has to re-apply.
+  // (fingerprints) are what replay-on-open has to re-apply.
   const std::size_t journal_tail = fast ? 64 : 256;
   const std::size_t gen_slice = 256;  // Bounded generation batches.
   const std::size_t batch_probes = 32;
@@ -151,14 +154,23 @@ int main(int argc, char** argv) {
     journal_bytes = index->journal_size_bytes();
   }  // The "crash": the index object goes away without another checkpoint.
   const double build_seconds = build_clock.ElapsedSeconds();
+  const double journal_bytes_per_subject =
+      static_cast<double>(journal_bytes) / static_cast<double>(journal_tail);
+  const double column_bytes =
+      static_cast<double>(gallery.num_features * sizeof(double));
+  NP_CHECK(journal_bytes_per_subject < column_bytes)
+      << "journal grows by " << journal_bytes_per_subject
+      << " bytes per enrolled subject, not below one full column ("
+      << column_bytes << " bytes): enroll records carry columns again";
   std::error_code ec;
   const double snapshot_bytes = static_cast<double>(std::filesystem::file_size(
       std::filesystem::path(durability.data_dir) / "snapshot.npix", ec));
   std::printf("build        %8zu subjects  %8.2f s (checkpoint %.3f s)  "
-              "snapshot %6.1f MiB  journal %6.1f MiB\n",
+              "snapshot %6.1f MiB  journal %6.1f MiB (%.0f B/subject)\n",
               gallery.num_subjects, build_seconds, checkpoint_seconds,
               snapshot_bytes / (1024.0 * 1024.0),
-              static_cast<double>(journal_bytes) / (1024.0 * 1024.0));
+              static_cast<double>(journal_bytes) / (1024.0 * 1024.0),
+              journal_bytes_per_subject);
 
   // --- Phase 2: recovery via replay-on-open.
   Stopwatch replay_clock;
@@ -220,6 +232,7 @@ int main(int argc, char** argv) {
   json.AddField("threads", static_cast<double>(threads));
   json.AddField("snapshot_bytes", snapshot_bytes);
   json.AddField("journal_bytes", static_cast<double>(journal_bytes));
+  json.AddField("journal_bytes_per_subject", journal_bytes_per_subject);
   json.AddField("checkpoint_seconds", checkpoint_seconds);
   json.AddField("replay_open_seconds", replay_seconds);
   json.AddField("reenroll_seconds", reenroll_seconds);

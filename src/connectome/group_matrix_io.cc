@@ -168,9 +168,7 @@ Status GroupMatrixFileWriter::AppendColumn(const linalg::Vector& column) {
         column.size(), num_features_));
   }
   encoded_.resize(column.size() * sizeof(double));
-  for (std::size_t i = 0; i < column.size(); ++i) {
-    WriteLE(column[i], encoded_.data() + i * sizeof(double));
-  }
+  WriteLE(column.data(), column.size(), encoded_.data());
   value_crc_ = crc32c::Extend(value_crc_, encoded_.data(), encoded_.size());
   NP_RETURN_IF_ERROR(out_.Append(encoded_.data(), encoded_.size()));
   ++columns_written_;
@@ -220,9 +218,7 @@ Result<GroupMatrix> ReadGroupMatrix(const std::string& path) {
     }
     computed_crc =
         crc32c::Extend(computed_crc, encoded.data(), encoded.size());
-    for (std::uint64_t i = 0; i < header.features; ++i) {
-      columns[j][i] = ReadLE<double>(encoded.data() + i * sizeof(double));
-    }
+    ReadLE(encoded.data(), columns[j].size(), columns[j].data());
   }
   if (computed_crc != header.value_crc) {
     // Bit rot (or a torn copy) inside the value payload: the dimensions

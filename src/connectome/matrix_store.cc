@@ -108,31 +108,22 @@ Status FileMatrixStore::ReadTile(std::size_t row0, std::size_t row_count,
   std::vector<double> column(row_count);
   for (std::size_t c = 0; c < col_count; ++c) {
     const std::size_t j = col0 + c;
+    fault::Injection injection;
     if (fault::Enabled()) {
-      const fault::Injection injection =
-          fault::Hit("io.stream", static_cast<std::uint64_t>(j));
+      injection = fault::Hit("io.stream", static_cast<std::uint64_t>(j));
       if (injection.action == fault::Action::kError) return injection.status;
-      if (injection.action != fault::Action::kNone) {
-        // Corrupt / poison the column after decoding (below).
-        NP_RETURN_IF_ERROR(ReadColumnBytes(j, row0, row_count));
-        for (std::size_t r = 0; r < row_count; ++r) {
-          column[r] = ReadLE<double>(encoded_.data() + r * sizeof(double));
-        }
-        if (injection.action == fault::Action::kCorrupt) {
-          fault::ScrambleBytes(injection.seed, column.data(),
-                               row_count * sizeof(double));
-        } else {
-          std::fill(column.begin(), column.end(),
-                    std::numeric_limits<double>::quiet_NaN());
-        }
-        for (std::size_t r = 0; r < row_count; ++r) (*out)(r, c) = column[r];
-        continue;
-      }
     }
     NP_RETURN_IF_ERROR(ReadColumnBytes(j, row0, row_count));
-    for (std::size_t r = 0; r < row_count; ++r) {
-      (*out)(r, c) = ReadLE<double>(encoded_.data() + r * sizeof(double));
+    ReadLE(encoded_.data(), row_count, column.data());
+    // Corrupt / poison the column after decoding.
+    if (injection.action == fault::Action::kCorrupt) {
+      fault::ScrambleBytes(injection.seed, column.data(),
+                           row_count * sizeof(double));
+    } else if (injection.action != fault::Action::kNone) {
+      std::fill(column.begin(), column.end(),
+                std::numeric_limits<double>::quiet_NaN());
     }
+    for (std::size_t r = 0; r < row_count; ++r) (*out)(r, c) = column[r];
   }
   return Status::OK();
 }

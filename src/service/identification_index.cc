@@ -193,16 +193,15 @@ Result<IdentificationIndex> IdentificationIndex::Create(
 }
 
 void IdentificationIndex::CommitEnroll(const std::string& subject_id,
-                                       linalg::Vector column,
-                                       linalg::Vector fingerprint) {
+                                       linalg::Vector fingerprint,
+                                       linalg::Vector column) {
   Shard& shard = shards_[ShardOf(subject_id)];
   const auto pos = std::lower_bound(
       shard.entries.begin(), shard.entries.end(), subject_id,
       [](const Entry& e, const std::string& id) { return e.id < id; });
   Entry entry;
   entry.id = subject_id;
-  entry.fingerprint =
-      fingerprint.empty() ? MakeFingerprint(column) : std::move(fingerprint);
+  entry.fingerprint = std::move(fingerprint);
   if (options_.retain_full_columns) entry.full = std::move(column);
   shard.entries.insert(pos, std::move(entry));
   shard.clusters_dirty = true;
@@ -247,13 +246,12 @@ Status IdentificationIndex::EnrollColumns(
   // Stage every column first (screening + fault injection, parallel over
   // subjects, disjoint slots), one column window at a time; then resolve
   // the batch and commit the survivors in index order, so fail-fast
-  // leaves the index untouched on any error. The full columns the index
-  // retains — or must journal, since a write-ahead record carries the
-  // full column — are staged in RAM: every survivor's column is resident
-  // at commit anyway (in its Entry, or in the one journal payload), so
-  // staging them on disk could not lower the peak. The commit derives
-  // fingerprints from them; when no full column is kept, staging keeps
-  // the fingerprint instead.
+  // leaves the index untouched on any error. A non-durable index that
+  // keeps no full columns stages only fingerprints, so its peak is one
+  // window of full columns. Otherwise the full columns are staged in RAM
+  // and their fingerprints are derived after the batch resolves, on this
+  // thread: fingerprints allocated on the pool's workers and kept by a
+  // journaled lean index measurably raised its peak RSS.
   const bool keep_full = options_.retain_full_columns || journal_ != nullptr;
   std::vector<linalg::Vector> staged_fingerprints(n);
   std::vector<linalg::Vector> staged_full(n);
@@ -321,15 +319,23 @@ Status IdentificationIndex::EnrollColumns(
     metrics::Count("batch.subjects_skipped", report->failed.size());
   }
 
+  if (keep_full) {
+    for (std::size_t j : survivors) {
+      staged_fingerprints[j] = MakeFingerprint(staged_full[j]);
+      if (!options_.retain_full_columns) linalg::Vector().swap(staged_full[j]);
+    }
+  }
+
   // Write-ahead: one journal record covers the whole surviving batch, so
   // across a crash the batch commits all-or-nothing, exactly like the
-  // in-memory commit loop below. The journaled columns are the bytes the
-  // commit loop enrolls. A journal error (nothing reached disk) fails the
-  // call with the index bit-unchanged.
+  // in-memory commit loop below. The journaled fingerprints (and retained
+  // columns) are the bytes the commit loop enrolls. A journal error
+  // (nothing reached disk) fails the call with the index bit-unchanged.
   if (journal_ != nullptr && !survivors.empty()) {
     std::vector<PendingEnroll> pending(survivors.size());
     for (std::size_t s = 0; s < survivors.size(); ++s) {
       pending[s].id = &ids[survivors[s]];
+      pending[s].fingerprint = &staged_fingerprints[survivors[s]];
       pending[s].column = &staged_full[survivors[s]];
     }
     NP_RETURN_IF_ERROR(JournalEnrolls(pending));
@@ -337,8 +343,8 @@ Status IdentificationIndex::EnrollColumns(
 
   // Commit phase: nothing below can fail.
   for (std::size_t j : survivors) {
-    CommitEnroll(ids[j], std::move(staged_full[j]),
-                 std::move(staged_fingerprints[j]));
+    CommitEnroll(ids[j], std::move(staged_fingerprints[j]),
+                 std::move(staged_full[j]));
   }
   metrics::Count("service.enrolls", survivors.size());
   metrics::SetGauge("service.gallery_size", static_cast<double>(size_));
@@ -431,6 +437,9 @@ Status IdentificationIndex::RefreshSketch() {
     return Status::FailedPrecondition(
         "RefreshSketch: need at least 2 enrolled subjects");
   }
+  // Journal enroll records carry fingerprints in the subspace of the
+  // snapshot they extend, so none may predate a refit: compact first.
+  if (journal_size_bytes() > 0) NP_RETURN_IF_ERROR(Checkpoint());
 
   // Deterministic refit sample: evenly strided over the canonical
   // (ascending-id) gallery order, clamped so the leverage input stays
@@ -489,9 +498,11 @@ Status IdentificationIndex::RefreshSketch() {
   // records: checkpoint immediately so a reopened index matches this one.
   // On a checkpoint error the refresh stays committed in memory and the
   // on-disk state still recovers consistently (to the pre-refresh
-  // subspace over the same member set).
-  if (journal_ != nullptr) return Checkpoint();
-  return Status::OK();
+  // subspace over the same member set); the next enroll retries the
+  // publish before it journals a fingerprint of the new subspace.
+  if (journal_ == nullptr) return Status::OK();
+  subspace_unpublished_ = true;
+  return Checkpoint();
 }
 
 void IdentificationIndex::RebuildShardClusters(std::size_t shard_index) {

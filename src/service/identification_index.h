@@ -264,10 +264,11 @@ class IdentificationIndex {
   /// read in place). When the index neither retains full columns nor
   /// journals, staging keeps only fingerprints, so peak RSS is one window
   /// of full columns plus the fingerprints; otherwise every survivor's
-  /// full column is staged in RAM, as the commit keeps (or journals) it
-  /// anyway. Index state and report contents are identical at any window
-  /// size; a store I/O failure (including the `io.stream` fault point)
-  /// fails the call with the index bit-unchanged.
+  /// full column is staged in RAM until the batch resolves, and the
+  /// fingerprints the commit (and journal record) takes are derived
+  /// from them then. Index state and report contents are identical at
+  /// any window size; a store I/O failure (including the `io.stream`
+  /// fault point) fails the call with the index bit-unchanged.
   Status EnrollStream(const connectome::MatrixStore& subjects,
                       BatchReport* report = nullptr,
                       std::size_t window_cols = 0);
@@ -378,24 +379,27 @@ class IdentificationIndex {
     bool has_second = false;
   };
 
-  /// An enroll staged for commit: the screened column a journal record
-  /// must capture byte-for-byte (replay re-derives the fingerprint from
-  /// it, so recovery is bit-identical).
+  /// An enroll staged for commit: the fingerprint the commit stores and
+  /// the screened column (read only when retain_full_columns). A journal
+  /// record captures both byte-for-byte, and replay commits them as they
+  /// are, so recovery is bit-identical.
   struct PendingEnroll {
     const std::string* id = nullptr;
+    const linalg::Vector* fingerprint = nullptr;
     const linalg::Vector* column = nullptr;
   };
 
   IdentificationIndex() = default;
 
   /// Inserts a screened subject into its shard — the commit half of
-  /// every enroll path; cannot fail. An empty `fingerprint` is derived
-  /// from `column`.
-  void CommitEnroll(const std::string& subject_id, linalg::Vector column,
-                    linalg::Vector fingerprint = {});
+  /// every enroll path; cannot fail. `column` is kept only when
+  /// retain_full_columns.
+  void CommitEnroll(const std::string& subject_id, linalg::Vector fingerprint,
+                    linalg::Vector column);
   /// Write-ahead journals a batch of staged enrolls as ONE record (no-op
-  /// when not durable). An error means nothing reached the disk and no
-  /// shard may be touched.
+  /// when not durable), first publishing a subspace RefreshSketch could
+  /// not. An error means the record did not reach the disk and no shard
+  /// may be touched.
   Status JournalEnrolls(const std::vector<PendingEnroll>& pending);
   Status JournalRemove(const std::string& subject_id);
   /// Applies one replayed journal record. Enrolls of already-present ids
@@ -445,6 +449,10 @@ class IdentificationIndex {
   DurabilityOptions durability_;
   std::string snapshot_path_;
   std::uint64_t snapshot_bytes_ = 0;
+  /// RefreshSketch changed the subspace but its snapshot did not publish:
+  /// journaled fingerprints would not match the snapshot's subspace, so
+  /// the next enroll record checkpoints first.
+  bool subspace_unpublished_ = false;
 };
 
 /// Seeded deterministic FNV-1a of a subject id — the shard hash. Exposed

@@ -4,30 +4,40 @@
 // mutation code in identification_index.cc; everything here is the
 // storage layer they call into.
 //
-// Snapshot format ("NPIX" v1, little-endian):
+// Both files are made of one unit, the entry (little-endian):
+//
+//   u32 id_length | id bytes | selected_count f64 fingerprint values |
+//   full_feature_count f64 values, only when retain_full_columns
+//
+// written by AppendEntry and read by PayloadCursor::ReadEntry, nowhere
+// else. Fingerprints are stored bitwise and never recomputed on load or
+// replay, so a reopened index is bit-identical to the one that wrote it.
+//
+// Snapshot format ("NPIX" v1):
 //
 //   magic "NPIX" | u32 version | u64 payload_bytes | u32 crc32c(payload) |
 //   payload:
 //     u64 full_feature_count | u8 retain_full_columns | u64 staleness |
 //     u64 selected_count, u64 rows... |
-//     u64 entry_count, per entry (ascending id):
-//       u32 id_length, id bytes |
-//       selected_count f64 fingerprint values (bitwise — NOT recomputed
-//       on load, so a reopened index is bit-identical) |
-//       full_feature_count f64 values when retain_full_columns
+//     u64 entry_count, entry_count entries in ascending id order
 //
 // Journal record payloads (framing + CRC are JournalWriter's):
 //
-//   u8 1 (enroll) | u32 count, per subject:
-//       u32 id_length, id bytes, full_feature_count f64 values
+//   u8 3 (enroll) | u32 count | count entries
 //   u8 2 (remove) | u32 id_length, id bytes
 //
-// Enroll records carry the *screened* full column (post fault-injection,
-// finite-checked), and a whole batch is ONE record: replay re-derives
-// each fingerprint with MakeFingerprint, which is deterministic, so
-// recovery commits exactly the bytes the live index committed — and a
-// batch is all-or-nothing across a crash, like the in-memory commit
-// phase it mirrors.
+// An enroll record carries what the snapshot would store for each
+// subject: the fingerprint the live index commits (derived from the
+// screened column in the current subspace), plus the full column when
+// the index retains it. A whole batch is ONE record, so a batch is
+// all-or-nothing across a crash, like the in-memory commit phase it
+// mirrors, and replay commits the journaled bits without calling
+// MakeFingerprint. The fingerprints are only valid in the subspace of
+// the snapshot the journal extends; RefreshSketch keeps that true by
+// compacting before it refits and publishing the new subspace before
+// the next enroll is journaled. Type 1, the older enroll record that
+// carried only full columns, is refused as Unimplemented: there is one
+// reader per format.
 
 #include <algorithm>
 #include <cstdlib>
@@ -43,6 +53,7 @@
 #include "util/endian.h"
 #include "util/metrics.h"
 #include "util/string_util.h"
+#include "util/trace.h"
 
 namespace neuroprint::service {
 namespace {
@@ -57,8 +68,9 @@ constexpr std::uint32_t kMaxIdBytes = 4096;
 constexpr std::uint64_t kMaxSnapshotFeatures = 1ull << 32;
 constexpr std::uint64_t kMaxSnapshotEntries = 1ull << 32;
 
-constexpr std::uint8_t kRecordEnroll = 1;
+constexpr std::uint8_t kRecordFullColumnEnroll = 1;  // Older format, refused.
 constexpr std::uint8_t kRecordRemove = 2;
+constexpr std::uint8_t kRecordEnroll = 3;
 
 constexpr const char* kSnapshotFile = "snapshot.npix";
 constexpr const char* kJournalFile = "journal.wal";
@@ -116,14 +128,22 @@ class PayloadCursor {
   }
 
   bool ReadDoubles(std::size_t count, linalg::Vector* out) {
-    if (remaining_ < count * sizeof(double)) return false;
+    if (remaining_ / sizeof(double) < count) return false;
     out->resize(count);
-    for (std::size_t i = 0; i < count; ++i) {
-      (*out)[i] = ReadLE<double>(p_ + i * sizeof(double));
-    }
+    ReadLE(p_, count, out->data());
     p_ += count * sizeof(double);
     remaining_ -= count * sizeof(double);
     return true;
+  }
+
+  /// Reads one entry as AppendEntry wrote it: `dim` fingerprint values,
+  /// then `full_count` full-column values (0 when the index keeps none).
+  bool ReadEntry(std::size_t dim, std::size_t full_count, std::string* id,
+                 linalg::Vector* fingerprint, linalg::Vector* full) {
+    std::uint32_t id_length = 0;
+    return Read(&id_length) && id_length <= kMaxIdBytes &&
+           ReadString(id_length, id) && ReadDoubles(dim, fingerprint) &&
+           (full_count == 0 || ReadDoubles(full_count, full));
   }
 
   std::size_t remaining() const { return remaining_; }
@@ -132,6 +152,31 @@ class PayloadCursor {
   const std::uint8_t* p_;
   std::size_t remaining_;
 };
+
+// Encoded size of one entry holding `values` doubles (fingerprint plus
+// any full column).
+std::size_t EntryBytes(const std::string& id, std::size_t values) {
+  return sizeof(std::uint32_t) + id.size() + values * sizeof(double);
+}
+
+// Appends one entry (layout in the file comment); `full` is null when the
+// index keeps no full columns. `caller` names the operation in the error
+// for an id the format cannot hold.
+Status AppendEntry(const char* caller, const std::string& id,
+                   const linalg::Vector& fingerprint,
+                   const linalg::Vector* full,
+                   std::vector<std::uint8_t>& out) {
+  if (id.size() > kMaxIdBytes) {
+    return Status::InvalidArgument(StrFormat(
+        "%s: subject id of %zu bytes exceeds the format bound", caller,
+        id.size()));
+  }
+  AppendLE(out, static_cast<std::uint32_t>(id.size()));
+  out.insert(out.end(), id.begin(), id.end());
+  AppendLE(out, fingerprint.data(), fingerprint.size());
+  if (full != nullptr) AppendLE(out, full->data(), full->size());
+  return Status::OK();
+}
 
 }  // namespace
 
@@ -143,20 +188,8 @@ const std::string& DataDirectory() {
 Result<std::vector<std::uint8_t>> IdentificationIndex::SerializeSnapshot()
     const {
   const std::size_t dim = selected_features_.size();
-  std::vector<std::uint8_t> payload;
-  payload.reserve(64 + dim * 8 +
-                  size_ * (8 + dim * sizeof(double) +
-                           (options_.retain_full_columns
-                                ? full_feature_count_ * sizeof(double)
-                                : 0)));
-  AppendLE(payload, static_cast<std::uint64_t>(full_feature_count_));
-  payload.push_back(options_.retain_full_columns ? std::uint8_t{1}
-                                                 : std::uint8_t{0});
-  AppendLE(payload, static_cast<std::uint64_t>(sketch_staleness_));
-  AppendLE(payload, static_cast<std::uint64_t>(dim));
-  for (std::size_t row : selected_features_) {
-    AppendLE(payload, static_cast<std::uint64_t>(row));
-  }
+  const std::size_t full_count =
+      options_.retain_full_columns ? full_feature_count_ : 0;
 
   // Entries in ascending-id order across all shards: the shard layout is
   // a pure function of (id, num_shards) and re-derived on load, so the
@@ -168,33 +201,46 @@ Result<std::vector<std::uint8_t>> IdentificationIndex::SerializeSnapshot()
   }
   std::sort(ordered.begin(), ordered.end(),
             [](const Entry* a, const Entry* b) { return a->id < b->id; });
-  AppendLE(payload, static_cast<std::uint64_t>(ordered.size()));
-  for (const Entry* entry : ordered) {
-    if (entry->id.size() > kMaxIdBytes) {
-      return Status::InvalidArgument(StrFormat(
-          "SaveSnapshot: subject id of %zu bytes exceeds the format bound",
-          entry->id.size()));
-    }
-    AppendLE(payload, static_cast<std::uint32_t>(entry->id.size()));
-    payload.insert(payload.end(), entry->id.begin(), entry->id.end());
-    for (double x : entry->fingerprint) AppendLE(payload, x);
-    if (options_.retain_full_columns) {
-      for (double x : entry->full) AppendLE(payload, x);
-    }
-  }
 
+  // The image is built in place in one exactly-sized buffer: header
+  // first, payload after it, then the header's payload size and CRC are
+  // patched in.
+  std::size_t image_bytes = kSnapshotHeaderBytes + 8 + 1 + 8 + 8 + dim * 8 + 8;
+  for (const Entry* entry : ordered) {
+    image_bytes += EntryBytes(entry->id, dim + full_count);
+  }
   std::vector<std::uint8_t> image;
-  image.reserve(kSnapshotHeaderBytes + payload.size());
+  image.reserve(image_bytes);
   image.insert(image.end(), kSnapshotMagic, kSnapshotMagic + 4);
   AppendLE(image, kSnapshotVersion);
-  AppendLE(image, static_cast<std::uint64_t>(payload.size()));
-  AppendLE(image, crc32c::Value(payload.data(), payload.size()));
-  image.insert(image.end(), payload.begin(), payload.end());
+  image.resize(kSnapshotHeaderBytes);
+
+  AppendLE(image, static_cast<std::uint64_t>(full_feature_count_));
+  image.push_back(options_.retain_full_columns ? std::uint8_t{1}
+                                               : std::uint8_t{0});
+  AppendLE(image, static_cast<std::uint64_t>(sketch_staleness_));
+  AppendLE(image, static_cast<std::uint64_t>(dim));
+  for (std::size_t row : selected_features_) {
+    AppendLE(image, static_cast<std::uint64_t>(row));
+  }
+  AppendLE(image, static_cast<std::uint64_t>(ordered.size()));
+  for (const Entry* entry : ordered) {
+    NP_RETURN_IF_ERROR(AppendEntry(
+        "SaveSnapshot", entry->id, entry->fingerprint,
+        options_.retain_full_columns ? &entry->full : nullptr, image));
+  }
+  NP_CHECK_EQ(image.size(), image_bytes);
+
+  const std::size_t payload_bytes = image.size() - kSnapshotHeaderBytes;
+  WriteLE(static_cast<std::uint64_t>(payload_bytes), image.data() + 8);
+  WriteLE(crc32c::Value(image.data() + kSnapshotHeaderBytes, payload_bytes),
+          image.data() + 16);
   return image;
 }
 
 Result<std::uint64_t> IdentificationIndex::PublishSnapshot(
     const std::string& path) const {
+  NP_TRACE_SCOPE("durability.snapshot_publish");
   std::vector<std::uint8_t> image;
   NP_ASSIGN_OR_RETURN(image, SerializeSnapshot());
   NP_RETURN_IF_ERROR(AtomicWriteFile(path, image.data(), image.size()));
@@ -314,20 +360,14 @@ Result<IdentificationIndex> IdentificationIndex::OpenFromSnapshot(
     return Status::CorruptData("truncated index-snapshot payload: " + path);
   }
   std::string previous_id;
+  const std::size_t full_count =
+      retain != 0 ? index.full_feature_count_ : 0;
   for (std::uint64_t e = 0; e < entry_count; ++e) {
-    std::uint32_t id_length = 0;
-    if (!cursor.Read(&id_length) || id_length > kMaxIdBytes) {
-      return Status::CorruptData("bad subject id in index snapshot: " + path);
-    }
     Entry entry;
-    if (!cursor.ReadString(id_length, &entry.id) ||
-        !cursor.ReadDoubles(index.selected_features_.size(),
-                            &entry.fingerprint)) {
-      return Status::CorruptData("truncated index-snapshot entry: " + path);
-    }
-    if (retain != 0 &&
-        !cursor.ReadDoubles(index.full_feature_count_, &entry.full)) {
-      return Status::CorruptData("truncated index-snapshot entry: " + path);
+    if (!cursor.ReadEntry(index.selected_features_.size(), full_count,
+                          &entry.id, &entry.fingerprint, &entry.full)) {
+      return Status::CorruptData("bad or truncated index-snapshot entry: " +
+                                 path);
     }
     // Strictly ascending ids: guards duplicates and lets each shard take
     // its entries by push_back while staying sorted.
@@ -355,21 +395,27 @@ Result<IdentificationIndex> IdentificationIndex::OpenFromSnapshot(
 Status IdentificationIndex::JournalEnrolls(
     const std::vector<PendingEnroll>& pending) {
   if (journal_ == nullptr || pending.empty()) return Status::OK();
+  // The record's fingerprints are in the in-memory subspace; the snapshot
+  // the journal extends must be in it too before they reach the disk.
+  if (subspace_unpublished_) NP_RETURN_IF_ERROR(Checkpoint());
+  const std::size_t dim = selected_features_.size();
+  const std::size_t full_count =
+      options_.retain_full_columns ? full_feature_count_ : 0;
+  std::size_t bytes = 1 + sizeof(std::uint32_t);
+  for (const PendingEnroll& enroll : pending) {
+    bytes += EntryBytes(*enroll.id, dim + full_count);
+  }
   std::vector<std::uint8_t> payload;
-  payload.reserve(5 + pending.size() *
-                          (8 + full_feature_count_ * sizeof(double)));
+  payload.reserve(bytes);
   payload.push_back(kRecordEnroll);
   AppendLE(payload, static_cast<std::uint32_t>(pending.size()));
   for (const PendingEnroll& enroll : pending) {
-    if (enroll.id->size() > kMaxIdBytes) {
-      return Status::InvalidArgument(StrFormat(
-          "Enroll: subject id of %zu bytes exceeds the journal bound",
-          enroll.id->size()));
-    }
-    NP_CHECK_EQ(enroll.column->size(), full_feature_count_);
-    AppendLE(payload, static_cast<std::uint32_t>(enroll.id->size()));
-    payload.insert(payload.end(), enroll.id->begin(), enroll.id->end());
-    for (double x : *enroll.column) AppendLE(payload, x);
+    const linalg::Vector* full =
+        options_.retain_full_columns ? enroll.column : nullptr;
+    NP_CHECK_EQ(enroll.fingerprint->size(), dim);
+    NP_CHECK(full == nullptr || full->size() == full_feature_count_);
+    NP_RETURN_IF_ERROR(
+        AppendEntry("Enroll", *enroll.id, *enroll.fingerprint, full, payload));
   }
   return journal_->Append(payload.data(), payload.size());
 }
@@ -401,21 +447,28 @@ Status IdentificationIndex::ApplyJournalRecord(const std::uint8_t* payload,
     if (!cursor.Read(&count)) {
       return Status::CorruptData("truncated journal enroll record");
     }
+    const std::size_t full_count =
+        options_.retain_full_columns ? full_feature_count_ : 0;
     for (std::uint32_t i = 0; i < count; ++i) {
-      std::uint32_t id_length = 0;
       std::string id;
+      linalg::Vector fingerprint;
       linalg::Vector column;
-      if (!cursor.Read(&id_length) || id_length > kMaxIdBytes ||
-          !cursor.ReadString(id_length, &id) ||
-          !cursor.ReadDoubles(full_feature_count_, &column)) {
+      if (!cursor.ReadEntry(selected_features_.size(), full_count, &id,
+                            &fingerprint, &column)) {
         return Status::CorruptData("truncated journal enroll record");
       }
       // Already enrolled: this record predates the snapshot (a checkpoint
       // crashed after publishing it but before truncating the journal) —
       // replay converges by skipping, not failing.
       if (Contains(id)) continue;
-      CommitEnroll(id, std::move(column));
+      CommitEnroll(id, std::move(fingerprint), std::move(column));
     }
+  } else if (type == kRecordFullColumnEnroll) {
+    return Status::Unimplemented(
+        "journal holds an enroll record of the older full-column format "
+        "(type 1), which this version does not read; reopen the directory "
+        "with the version that wrote it and Checkpoint() to fold the "
+        "journal into the snapshot");
   } else if (type == kRecordRemove) {
     std::uint32_t id_length = 0;
     std::string id;
@@ -512,6 +565,7 @@ Result<IdentificationIndex> IdentificationIndex::OpenDurable(
   // corruption and aborts the open.
   JournalScan scan;
   {
+    NP_TRACE_SCOPE("durability.replay");
     Result<JournalScan> replayed = ReplayJournal(
         journal_path,
         [&index](const std::uint8_t* payload, std::size_t size) {
@@ -542,7 +596,9 @@ Status IdentificationIndex::Checkpoint() {
     return Status::FailedPrecondition(
         "Checkpoint: index has no journal (CreateDurable/OpenDurable)");
   }
+  NP_TRACE_SCOPE("durability.compact");
   NP_ASSIGN_OR_RETURN(snapshot_bytes_, PublishSnapshot(snapshot_path_));
+  subspace_unpublished_ = false;
   // Crash window: the snapshot is published but the journal still holds
   // the records it absorbed. Safe — replay skips already-present enrolls
   // and already-absent removes, so the next open converges to the same

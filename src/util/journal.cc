@@ -21,6 +21,7 @@
 #include "util/fault.h"
 #include "util/metrics.h"
 #include "util/string_util.h"
+#include "util/trace.h"
 
 namespace neuroprint {
 
@@ -228,6 +229,7 @@ Status AtomicFileWriter::Commit() {
   }
   // 1. Make the temp file's bytes durable.
   {
+    NP_TRACE_SCOPE("durability.fsync");
     const SyscallGate gate = GateSyscall(fault_point_, &crashed_, path_);
     if (!gate.status.ok()) return gate.status;
     if (::fsync(fd_) != 0) return ErrnoError("fsync", temp_path_);
@@ -384,6 +386,7 @@ JournalWriter::~JournalWriter() {
 }
 
 Status JournalWriter::Append(const void* payload, std::size_t size) {
+  NP_TRACE_SCOPE("durability.journal_append");
   if (crashed_) return CrashedError("Append", path_);
   if (fd_ < 0) {
     return Status::FailedPrecondition("JournalWriter: not open: " + path_);
@@ -439,6 +442,7 @@ Status JournalWriter::Append(const void* payload, std::size_t size) {
 }
 
 Status JournalWriter::SyncLocked() {
+  NP_TRACE_SCOPE("durability.fsync");
   const SyscallGate gate = GateSyscall("io.journal", &crashed_, path_);
   if (!gate.status.ok()) return gate.status;
   if (::fsync(fd_) != 0) return ErrnoError("fsync", path_);

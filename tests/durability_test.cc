@@ -3,15 +3,15 @@
 //
 // The centerpiece is a deterministic crash sweep: a fixed mutation
 // scenario (create, enrolls, a batch, a stream, removes, a checkpoint)
-// is re-run once per (fault action, I/O site), with the fault schedule
-// `point@k=action` walking k over every arrival at `io.journal` and
-// `io.snapshot` until a full pass completes without firing. After each
-// simulated crash the data directory is reopened and the recovered
-// index must hold exactly the pre-op or post-op member set of the
-// interrupted operation, with a DebugStateString bit-identical to a
-// never-crashed index over the same members — torn tails truncated,
-// checkpoint-redundant records skipped, never a corrupt or merged
-// state.
+// is re-run once per (retain_full_columns setting, fault action, I/O
+// site), with the fault schedule `point@k=action` walking k over every
+// arrival at `io.journal` and `io.snapshot` until a full pass completes
+// without firing. After each simulated crash the data directory is
+// reopened and the recovered index must hold exactly the pre-op or
+// post-op member set of the interrupted operation, with a
+// DebugStateString bit-identical to a never-crashed index over the same
+// members — torn tails truncated, checkpoint-redundant records skipped,
+// never a corrupt or merged state.
 
 #include <cstdint>
 #include <filesystem>
@@ -26,7 +26,9 @@
 #include "connectome/matrix_store.h"
 #include "service/identification_index.h"
 #include "service/synthetic_gallery.h"
+#include "util/endian.h"
 #include "util/fault.h"
+#include "util/journal.h"
 #include "util/status.h"
 #include "util/string_util.h"
 
@@ -64,10 +66,13 @@ SyntheticGalleryConfig SweepGallery() {
   return config;
 }
 
-IndexOptions SweepOptions() {
+// The sweep runs at both retain_full_columns settings: an enroll record
+// carries the full column only when the index retains it.
+IndexOptions SweepOptions(bool retain_full_columns) {
   IndexOptions options;
   options.num_features = 16;
   options.num_shards = 3;
+  options.retain_full_columns = retain_full_columns;
   return options;
 }
 
@@ -122,11 +127,12 @@ constexpr int kScenarioOps = 8;
 // would fail too — stopping at the first error models the process
 // dying there.
 int RunScenario(const std::string& dir, const connectome::GroupMatrix& reference,
-                const connectome::GroupMatrix& full, Status* failure) {
+                const connectome::GroupMatrix& full, bool retain,
+                Status* failure) {
   DurabilityOptions durability;
   durability.data_dir = dir;
-  auto index =
-      IdentificationIndex::CreateDurable(reference, durability, SweepOptions());
+  auto index = IdentificationIndex::CreateDurable(reference, durability,
+                                                  SweepOptions(retain));
   if (!index.ok()) {
     *failure = index.status();
     return 0;
@@ -191,8 +197,8 @@ int RunScenario(const std::string& dir, const connectome::GroupMatrix& reference
 Result<IdentificationIndex> BuildCleanReplica(
     const connectome::GroupMatrix& reference,
     const connectome::GroupMatrix& full,
-    const std::vector<std::string>& members) {
-  auto clean = IdentificationIndex::Create(reference, SweepOptions());
+    const std::vector<std::string>& members, bool retain) {
+  auto clean = IdentificationIndex::Create(reference, SweepOptions(retain));
   if (!clean.ok()) return clean.status();
   const std::set<std::string> want(members.begin(), members.end());
   for (const std::string& id : reference.subject_ids()) {
@@ -220,64 +226,67 @@ TEST(DurabilityCrashSweepTest, EveryIoSiteRecoversToPreOrPostState) {
   // syscall.
   const char* kActions[] = {"error:IOError:injected sweep fault", "torn:0",
                             "torn:4", "torn:1000000", "crash"};
-  for (const char* point : kPoints) {
-    for (const char* action : kActions) {
-      bool swept_past_end = false;
-      int hit = 0;
-      for (hit = 1; hit < 64 && !swept_past_end; ++hit) {
-        SCOPED_TRACE(StrFormat("%s@%d=%s", point, hit, action));
-        const std::string dir =
-            FreshDir(StrFormat("durability_sweep_%d", hit));
-        Status failure;
-        int failed_op = -1;
-        std::uint64_t arrivals = 0;
-        {
-          fault::ScopedSchedule schedule(
-              StrFormat("%s@%d=%s", point, hit, action));
-          ASSERT_TRUE(schedule.status().ok()) << schedule.status();
-          fault::ResetHitCounters();
-          failed_op = RunScenario(dir, *reference, *full, &failure);
-          arrivals = fault::ArrivalCount(point);
-        }
-        if (failed_op == -1) {
-          // Clean pass: the hit index walked past the scenario's last
-          // arrival at this point, so the sweep covered every site.
-          ASSERT_LT(arrivals, static_cast<std::uint64_t>(hit))
-              << "scenario passed although the fault fired";
-          swept_past_end = true;
-        } else {
-          ASSERT_FALSE(failure.ok());
-        }
+  for (const bool retain : {true, false}) {
+    for (const char* point : kPoints) {
+      for (const char* action : kActions) {
+        bool swept_past_end = false;
+        int hit = 0;
+        for (hit = 1; hit < 64 && !swept_past_end; ++hit) {
+          SCOPED_TRACE(StrFormat("retain=%d %s@%d=%s", retain ? 1 : 0, point,
+                                 hit, action));
+          const std::string dir =
+              FreshDir(StrFormat("durability_sweep_%d", hit));
+          Status failure;
+          int failed_op = -1;
+          std::uint64_t arrivals = 0;
+          {
+            fault::ScopedSchedule schedule(
+                StrFormat("%s@%d=%s", point, hit, action));
+            ASSERT_TRUE(schedule.status().ok()) << schedule.status();
+            fault::ResetHitCounters();
+            failed_op = RunScenario(dir, *reference, *full, retain, &failure);
+            arrivals = fault::ArrivalCount(point);
+          }
+          if (failed_op == -1) {
+            // Clean pass: the hit index walked past the scenario's last
+            // arrival at this point, so the sweep covered every site.
+            ASSERT_LT(arrivals, static_cast<std::uint64_t>(hit))
+                << "scenario passed although the fault fired";
+            swept_past_end = true;
+          } else {
+            ASSERT_FALSE(failure.ok());
+          }
 
-        DurabilityOptions durability;
-        durability.data_dir = dir;
-        auto reopened =
-            IdentificationIndex::OpenDurable(durability, SweepOptions());
-        if (failed_op == 0 && !reopened.ok()) {
-          // CreateDurable died before its snapshot was published: the
-          // pre-op state of creation is "no index", and open saying so
-          // is the correct recovery.
-          continue;
-        }
-        ASSERT_TRUE(reopened.ok()) << reopened.status();
-        const std::vector<std::string> members = reopened->EnrolledIds();
-        const std::vector<std::string> pre =
-            ExpectedAfter(failed_op == -1 ? kScenarioOps - 1 : failed_op - 1);
-        const std::vector<std::string> post =
-            ExpectedAfter(failed_op == -1 ? kScenarioOps - 1 : failed_op);
-        ASSERT_TRUE(members == pre || members == post)
-            << "recovered member set is neither the pre-op nor the post-op "
-               "state of op "
-            << failed_op << " (failure: " << failure.message() << ")";
+          DurabilityOptions durability;
+          durability.data_dir = dir;
+          auto reopened = IdentificationIndex::OpenDurable(
+              durability, SweepOptions(retain));
+          if (failed_op == 0 && !reopened.ok()) {
+            // CreateDurable died before its snapshot was published: the
+            // pre-op state of creation is "no index", and open saying so
+            // is the correct recovery.
+            continue;
+          }
+          ASSERT_TRUE(reopened.ok()) << reopened.status();
+          const std::vector<std::string> members = reopened->EnrolledIds();
+          const std::vector<std::string> pre =
+              ExpectedAfter(failed_op == -1 ? kScenarioOps - 1 : failed_op - 1);
+          const std::vector<std::string> post =
+              ExpectedAfter(failed_op == -1 ? kScenarioOps - 1 : failed_op);
+          ASSERT_TRUE(members == pre || members == post)
+              << "recovered member set is neither the pre-op nor the post-op "
+                 "state of op "
+              << failed_op << " (failure: " << failure.message() << ")";
 
-        auto clean = BuildCleanReplica(*reference, *full, members);
-        ASSERT_TRUE(clean.ok()) << clean.status();
-        ASSERT_EQ(reopened->DebugStateString(), clean->DebugStateString())
-            << "recovered index diverged from a never-crashed index over "
-               "the same members";
+          auto clean = BuildCleanReplica(*reference, *full, members, retain);
+          ASSERT_TRUE(clean.ok()) << clean.status();
+          ASSERT_EQ(reopened->DebugStateString(), clean->DebugStateString())
+              << "recovered index diverged from a never-crashed index over "
+                 "the same members";
+        }
+        EXPECT_TRUE(swept_past_end)
+            << point << "=" << action << " sweep never completed";
       }
-      EXPECT_TRUE(swept_past_end)
-          << point << "=" << action << " sweep never completed";
     }
   }
 }
@@ -292,33 +301,40 @@ TEST(DurabilityTest, SnapshotRoundTripIsBitIdentical) {
   gallery.num_features = 64;
   auto group = MakeSyntheticGallery(gallery, 0);
   ASSERT_TRUE(group.ok());
-  auto index = IdentificationIndex::Create(*group);
-  ASSERT_TRUE(index.ok()) << index.status();
-
-  const std::string path = FreshDir("durability_snapshot") + "/index.npix";
-  std::filesystem::create_directories(
-      std::filesystem::path(path).parent_path());
-  ASSERT_TRUE(index->SaveSnapshot(path).ok());
-  EXPECT_FALSE(std::filesystem::exists(path + ".tmp"))
-      << "atomic publish left its temp file behind";
-
-  auto reopened = IdentificationIndex::OpenFromSnapshot(path);
-  ASSERT_TRUE(reopened.ok()) << reopened.status();
-  EXPECT_FALSE(reopened->durable());
-  EXPECT_EQ(reopened->EnrolledIds(), index->EnrolledIds());
-  EXPECT_EQ(reopened->DebugStateString(), index->DebugStateString());
-
   auto probes = MakeSyntheticGallery(gallery, 1);
   ASSERT_TRUE(probes.ok());
-  auto a = index->IdentifyBatch(*probes);
-  auto b = reopened->IdentifyBatch(*probes);
-  ASSERT_TRUE(a.ok());
-  ASSERT_TRUE(b.ok());
-  ASSERT_EQ(a->matches.size(), b->matches.size());
-  for (std::size_t p = 0; p < a->matches.size(); ++p) {
-    EXPECT_EQ(a->matches[p].subject_id, b->matches[p].subject_id);
-    EXPECT_EQ(a->matches[p].similarity, b->matches[p].similarity);
-    EXPECT_EQ(a->matches[p].margin, b->matches[p].margin);
+  for (const bool retain : {true, false}) {
+    SCOPED_TRACE(StrFormat("retain=%d", retain ? 1 : 0));
+    IndexOptions options;
+    options.retain_full_columns = retain;
+    auto index = IdentificationIndex::Create(*group, options);
+    ASSERT_TRUE(index.ok()) << index.status();
+
+    const std::string path =
+        FreshDir(StrFormat("durability_snapshot_%d", retain ? 1 : 0)) +
+        "/index.npix";
+    std::filesystem::create_directories(
+        std::filesystem::path(path).parent_path());
+    ASSERT_TRUE(index->SaveSnapshot(path).ok());
+    EXPECT_FALSE(std::filesystem::exists(path + ".tmp"))
+        << "atomic publish left its temp file behind";
+
+    auto reopened = IdentificationIndex::OpenFromSnapshot(path, options);
+    ASSERT_TRUE(reopened.ok()) << reopened.status();
+    EXPECT_FALSE(reopened->durable());
+    EXPECT_EQ(reopened->EnrolledIds(), index->EnrolledIds());
+    EXPECT_EQ(reopened->DebugStateString(), index->DebugStateString());
+
+    auto a = index->IdentifyBatch(*probes);
+    auto b = reopened->IdentifyBatch(*probes);
+    ASSERT_TRUE(a.ok());
+    ASSERT_TRUE(b.ok());
+    ASSERT_EQ(a->matches.size(), b->matches.size());
+    for (std::size_t p = 0; p < a->matches.size(); ++p) {
+      EXPECT_EQ(a->matches[p].subject_id, b->matches[p].subject_id);
+      EXPECT_EQ(a->matches[p].similarity, b->matches[p].similarity);
+      EXPECT_EQ(a->matches[p].margin, b->matches[p].margin);
+    }
   }
 }
 
@@ -613,6 +629,143 @@ TEST_F(DurableIndexTest, AutoCompactionKeepsJournalEmptyAndConverges) {
   auto reopened = IdentificationIndex::OpenDurable(durability);
   ASSERT_TRUE(reopened.ok()) << reopened.status();
   EXPECT_EQ(reopened->DebugStateString(), index->DebugStateString());
+}
+
+// An enroll record holds, per subject, what the snapshot stores: u32 id
+// length, the id, the fingerprint, and the full column only when the
+// index retains it. A batch is one record, so each further subject adds
+// its entry alone.
+TEST_F(DurableIndexTest, EnrollRecordGrowsByOneEntryPerSubject) {
+  for (const bool retain : {true, false}) {
+    SCOPED_TRACE(StrFormat("retain=%d", retain ? 1 : 0));
+    IndexOptions options;
+    options.num_features = 12;
+    options.retain_full_columns = retain;
+    DurabilityOptions durability;
+    durability.data_dir =
+        FreshDir(StrFormat("durability_growth_%d", retain ? 1 : 0));
+    auto index =
+        IdentificationIndex::CreateDurable(reference_, durability, options);
+    ASSERT_TRUE(index.ok()) << index.status();
+    const std::size_t dim = index->selected_features().size();
+    ASSERT_EQ(dim, 12u);
+    const std::size_t full = retain ? rest_.num_features() : 0;
+    const auto entry_bytes = [&](const std::string& id) {
+      return std::uint64_t{4 + id.size() + dim * 8 + full * 8};
+    };
+    // Framing, then u8 type and u32 count.
+    const std::uint64_t record_bytes = kJournalRecordHeaderBytes + 1 + 4;
+
+    ASSERT_EQ(index->journal_size_bytes(), 0u);
+    ASSERT_TRUE(
+        index->Enroll(rest_.subject_ids()[0], rest_.SubjectColumn(0)).ok());
+    EXPECT_EQ(index->journal_size_bytes(),
+              record_bytes + entry_bytes(rest_.subject_ids()[0]));
+
+    const std::uint64_t before = index->journal_size_bytes();
+    std::vector<linalg::Vector> columns;
+    std::vector<std::string> ids;
+    std::uint64_t want = record_bytes;
+    for (std::size_t j = 1; j < 4; ++j) {
+      columns.push_back(rest_.SubjectColumn(j));
+      ids.push_back(rest_.subject_ids()[j]);
+      want += entry_bytes(ids.back());
+    }
+    auto batch = connectome::GroupMatrix::FromFeatureColumns(columns, ids);
+    ASSERT_TRUE(batch.ok()) << batch.status();
+    ASSERT_TRUE(index->EnrollBatch(*batch).ok());
+    EXPECT_EQ(index->journal_size_bytes() - before, want);
+
+    auto reopened = IdentificationIndex::OpenDurable(durability, options);
+    ASSERT_TRUE(reopened.ok()) << reopened.status();
+    EXPECT_EQ(reopened->DebugStateString(), index->DebugStateString());
+  }
+}
+
+// Type 1 is the older enroll record that carried full columns only. There
+// is one reader per format: such a journal is refused as Unimplemented,
+// naming the format, not read as corrupt.
+TEST_F(DurableIndexTest, FullColumnEnrollRecordIsUnimplemented) {
+  DurabilityOptions durability;
+  durability.data_dir = FreshDir("durability_type1");
+  {
+    auto index = IdentificationIndex::CreateDurable(reference_, durability);
+    ASSERT_TRUE(index.ok()) << index.status();
+  }
+  // u8 1 | u32 count | u32 id_length, id, full_feature_count f64 values.
+  const std::string& id = rest_.subject_ids()[0];
+  const linalg::Vector column = rest_.SubjectColumn(0);
+  std::vector<std::uint8_t> payload = {1};
+  AppendLE(payload, std::uint32_t{1});
+  AppendLE(payload, static_cast<std::uint32_t>(id.size()));
+  payload.insert(payload.end(), id.begin(), id.end());
+  AppendLE(payload, column.data(), column.size());
+  {
+    auto journal =
+        JournalWriter::Open(JournalPath(durability.data_dir), 0, {});
+    ASSERT_TRUE(journal.ok()) << journal.status();
+    ASSERT_TRUE(journal->Append(payload.data(), payload.size()).ok());
+  }
+  auto reopened = IdentificationIndex::OpenDurable(durability);
+  ASSERT_EQ(reopened.status().code(), StatusCode::kUnimplemented)
+      << reopened.status();
+  EXPECT_NE(reopened.status().message().find("older full-column format"),
+            std::string::npos)
+      << reopened.status();
+}
+
+// Journaled fingerprints are valid only in the subspace of the snapshot
+// the journal extends, and RefreshSketch is the one mutation that changes
+// the subspace. An error at any journal or snapshot I/O site of a refresh,
+// followed by an enroll, must still reopen to the live state.
+TEST_F(DurableIndexTest, RefreshErrorsNeverMixSubspacesOnReopen) {
+  IndexOptions options;
+  options.num_features = 12;
+  const std::string& id = rest_.subject_ids()[0];
+  const std::size_t last = rest_.num_subjects() - 1;
+  for (const char* point : {"io.journal", "io.snapshot"}) {
+    bool swept_past_end = false;
+    for (int hit = 1; hit < 32 && !swept_past_end; ++hit) {
+      SCOPED_TRACE(StrFormat("%s@%d", point, hit));
+      DurabilityOptions durability;
+      durability.data_dir = FreshDir(StrFormat("durability_refresh_%d", hit));
+      auto index =
+          IdentificationIndex::CreateDurable(reference_, durability, options);
+      ASSERT_TRUE(index.ok()) << index.status();
+      for (std::size_t j = 1; j < last; ++j) {
+        ASSERT_TRUE(
+            index->Enroll(rest_.subject_ids()[j], rest_.SubjectColumn(j))
+                .ok());
+      }
+      // Enroll, remove and re-enroll one id: replay re-commits its last
+      // journaled fingerprint after removing the snapshot's copy.
+      ASSERT_TRUE(index->Enroll(id, rest_.SubjectColumn(0)).ok());
+      ASSERT_TRUE(index->Remove(id).ok());
+      ASSERT_TRUE(index->Enroll(id, rest_.SubjectColumn(0)).ok());
+      const std::vector<std::size_t> fitted = index->selected_features();
+      {
+        fault::ScopedSchedule schedule(
+            StrFormat("%s@%d=error:IOError:refresh fault", point, hit));
+        ASSERT_TRUE(schedule.status().ok());
+        fault::ResetHitCounters();
+        const Status refreshed = index->RefreshSketch();
+        swept_past_end =
+            fault::ArrivalCount(point) < static_cast<std::uint64_t>(hit);
+        EXPECT_EQ(refreshed.ok(), swept_past_end) << refreshed;
+      }
+      if (swept_past_end) {
+        ASSERT_NE(index->selected_features(), fitted)
+            << "the refit must change the subspace for this test to bite";
+      }
+      ASSERT_TRUE(
+          index->Enroll(rest_.subject_ids()[last], rest_.SubjectColumn(last))
+              .ok());
+      auto reopened = IdentificationIndex::OpenDurable(durability, options);
+      ASSERT_TRUE(reopened.ok()) << reopened.status();
+      EXPECT_EQ(reopened->DebugStateString(), index->DebugStateString());
+    }
+    EXPECT_TRUE(swept_past_end) << point << " sweep never completed";
+  }
 }
 
 }  // namespace

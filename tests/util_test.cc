@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <fstream>
 #include <set>
@@ -266,7 +267,15 @@ TEST(EndianTest, AppendLEAndStreamReadLERoundTrip) {
   std::vector<char> buf;
   AppendLE(buf, std::uint32_t{7});
   AppendLE(buf, -1.25);
-  ASSERT_EQ(buf.size(), 12u);
+  const double values[3] = {0.5, -3.0e-300, 1.0e300};
+  AppendLE(buf, values, 3);
+  AppendLE(buf, values, 0);
+  ASSERT_EQ(buf.size(), 36u);
+  // The array overload writes exactly the bytes of per-value appends.
+  std::vector<char> scalar_buf;
+  for (double x : values) AppendLE(scalar_buf, x);
+  EXPECT_TRUE(std::equal(scalar_buf.begin(), scalar_buf.end(),
+                         buf.begin() + 12));
 
   std::istringstream in(std::string(buf.begin(), buf.end()));
   std::uint32_t u = 0;
@@ -275,8 +284,20 @@ TEST(EndianTest, AppendLEAndStreamReadLERoundTrip) {
   ASSERT_TRUE(ReadLE(in, d));
   EXPECT_EQ(u, 7u);
   EXPECT_EQ(d, -1.25);
+  for (double want : values) {
+    ASSERT_TRUE(ReadLE(in, d));
+    EXPECT_EQ(d, want);
+  }
   // Short read: nothing left in the stream.
   EXPECT_FALSE(ReadLE(in, u));
+
+  // The array decoder reads back what the array encoder wrote.
+  double decoded[3] = {};
+  ReadLE(reinterpret_cast<const std::uint8_t*>(buf.data() + 12), 3, decoded);
+  EXPECT_TRUE(std::equal(values, values + 3, decoded));
+  std::uint8_t bytes[8];
+  WriteLE(&values[1], 1, bytes);
+  EXPECT_EQ(ReadLE<double>(bytes), values[1]);
 }
 
 }  // namespace
