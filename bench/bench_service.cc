@@ -10,7 +10,10 @@
 // and in full mode the pruned throughput is >= 5x brute force on the
 // >= 50k-subject gallery. A separate paper-shape section (64620 features x
 // 100 subjects, the S900 release dimensions) re-checks parity where the
-// accuracy numbers mirror the paper's Figure-1 regime.
+// accuracy numbers mirror the paper's Figure-1 regime. A mutation section
+// times Remove and EnrollBatch per subject at N and 4N subjects and checks
+// that a removal does not get 2x dearer when the gallery grows 4x: a
+// removal that shifted its shard would cost about 4x.
 //
 // Flags: `--threads=N`, `--json=PATH` (BENCH_service.json in CI),
 // `--trace=PATH`, `--metrics=PATH`.
@@ -18,7 +21,9 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench/bench_util.h"
@@ -72,6 +77,63 @@ void CheckTopOneParity(const service::BatchIdentifyResult& pruned,
       << mismatches << " of " << pruned.matches.size()
       << " probes diverged from the brute-force top-1";
   NP_CHECK(pruned.accuracy >= brute.accuracy);
+}
+
+// A non-durable index of `subjects` members and kMutateBatch of those
+// members, strided over the gallery so they land in every shard at every
+// depth.
+struct MutateFixture {
+  std::unique_ptr<service::IdentificationIndex> index;
+  connectome::GroupMatrix batch;
+};
+
+constexpr std::size_t kMutateBatch = 512;
+
+MutateFixture MakeMutateFixture(service::SyntheticGalleryConfig gallery,
+                                const service::IndexOptions& options,
+                                std::size_t subjects) {
+  constexpr std::size_t kReference = 128;
+  constexpr std::size_t kSlice = 5000;
+  gallery.num_subjects = subjects;
+  auto reference = service::MakeSyntheticGallerySlice(gallery, 0, 0, kReference);
+  NP_CHECK(reference.ok()) << reference.status().ToString();
+  auto index = service::IdentificationIndex::Create(*reference, options);
+  NP_CHECK(index.ok()) << index.status().ToString();
+  for (std::size_t begin = kReference; begin < subjects; begin += kSlice) {
+    auto slice = service::MakeSyntheticGallerySlice(
+        gallery, 0, begin, std::min(begin + kSlice, subjects));
+    NP_CHECK(slice.ok()) << slice.status().ToString();
+    NP_CHECK(index->EnrollBatch(*slice).ok());
+  }
+  std::vector<linalg::Vector> columns;
+  std::vector<std::string> ids;
+  for (std::size_t b = 0; b < kMutateBatch; ++b) {
+    const std::size_t j = b * (subjects / kMutateBatch);
+    auto one = service::MakeSyntheticGallerySlice(gallery, 0, j, j + 1);
+    NP_CHECK(one.ok()) << one.status().ToString();
+    columns.push_back(one->SubjectColumn(0));
+    ids.push_back(one->subject_ids()[0]);
+  }
+  auto batch = connectome::GroupMatrix::FromFeatureColumns(columns, ids);
+  NP_CHECK(batch.ok()) << batch.status().ToString();
+  return {std::make_unique<service::IdentificationIndex>(
+              std::move(index).value()),
+          std::move(batch).value()};
+}
+
+// One round: removes the fixture's batch one subject at a time, then
+// enrolls it back as one batch. Returns {remove, enroll} microseconds per
+// subject.
+std::pair<double, double> MutateRound(MutateFixture& fixture) {
+  const double per_subject = 1e6 / static_cast<double>(kMutateBatch);
+  Stopwatch remove_clock;
+  for (const std::string& id : fixture.batch.subject_ids()) {
+    NP_CHECK(fixture.index->Remove(id).ok());
+  }
+  const double remove_us = remove_clock.ElapsedSeconds() * per_subject;
+  Stopwatch enroll_clock;
+  NP_CHECK(fixture.index->EnrollBatch(fixture.batch).ok());
+  return {remove_us, enroll_clock.ElapsedSeconds() * per_subject};
 }
 
 }  // namespace
@@ -248,6 +310,47 @@ int main(int argc, char** argv) {
     json.AddField("full_features", static_cast<double>(paper.num_features));
     json.AddField("top1_accuracy_pruned", paper_pruned->accuracy);
     json.AddField("top1_accuracy_brute", paper_brute->accuracy);
+  }
+
+  // --- Mutation cost against gallery size (non-durable, so no journal).
+  // Rounds at N and 4N alternate, so host drift during the section moves
+  // both sides of each per-round ratio alike; the gate takes the median
+  // of the per-round ratios.
+  {
+    constexpr std::size_t kMutateRuns = 7;
+    const std::size_t small = 8000;
+    MutateFixture at_n = MakeMutateFixture(gallery, options, small);
+    MutateFixture at_4n = MakeMutateFixture(gallery, options, 4 * small);
+    std::vector<double> remove_n, remove_4n, remove_ratio;
+    std::vector<double> enroll_n, enroll_4n, enroll_ratio;
+    for (std::size_t run = 0; run < kMutateRuns; ++run) {
+      const auto [rn, en] = MutateRound(at_n);
+      const auto [r4, e4] = MutateRound(at_4n);
+      remove_n.push_back(rn);
+      remove_4n.push_back(r4);
+      remove_ratio.push_back(r4 / rn);
+      enroll_n.push_back(en);
+      enroll_4n.push_back(e4);
+      enroll_ratio.push_back(e4 / en);
+    }
+    const double ratio = Percentile(remove_ratio, 0.5);
+    std::printf("mutate      remove %.2f -> %.2f us/subject (%.2fx)   "
+                "enroll %.2f -> %.2f us/subject (%.2fx)   at %zu -> %zu\n",
+                Percentile(remove_n, 0.5), Percentile(remove_4n, 0.5), ratio,
+                Percentile(enroll_n, 0.5), Percentile(enroll_4n, 0.5),
+                Percentile(enroll_ratio, 0.5), small, 4 * small);
+    json.BeginRecord("service_mutate");
+    json.AddField("subjects_n", static_cast<double>(small));
+    json.AddField("subjects_4n", static_cast<double>(4 * small));
+    json.AddField("remove_us_n", Percentile(remove_n, 0.5));
+    json.AddField("remove_us_4n", Percentile(remove_4n, 0.5));
+    json.AddField("remove_ratio", ratio);
+    json.AddField("enroll_us_n", Percentile(enroll_n, 0.5));
+    json.AddField("enroll_us_4n", Percentile(enroll_4n, 0.5));
+    json.AddField("enroll_ratio", Percentile(enroll_ratio, 0.5));
+    NP_CHECK(ratio < 2.0)
+        << "Remove costs " << ratio << "x per subject at 4x the gallery: "
+        << "removals scale with the shard, not its log";
   }
 
   bench::AppendMetricsRecords(json);

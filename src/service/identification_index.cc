@@ -4,6 +4,8 @@
 #include <bit>
 #include <cmath>
 #include <limits>
+#include <string_view>
+#include <unordered_set>
 #include <utility>
 
 #include "linalg/simd/simd.h"
@@ -76,6 +78,17 @@ double ClusterBound(double cq, double cos_radius, double sin_radius) {
   if (cq >= cos_radius) return 1.0;  // Probe inside the cluster cone.
   const double sq = std::sqrt(std::max(0.0, 1.0 - cq * cq));
   return cq * cos_radius + sq * sin_radius;
+}
+
+// The entry of `entries` (sorted by id) holding `id`, tombstone or not;
+// null when there is none.
+template <typename Entries>
+auto FindEntry(Entries& entries, const std::string& id)
+    -> decltype(entries.data()) {
+  const auto pos = std::lower_bound(
+      entries.begin(), entries.end(), id,
+      [](const auto& e, const std::string& want) { return e.id < want; });
+  return pos != entries.end() && pos->id == id ? &*pos : nullptr;
 }
 
 }  // namespace
@@ -192,21 +205,67 @@ Result<IdentificationIndex> IdentificationIndex::Create(
   return index;
 }
 
-void IdentificationIndex::CommitEnroll(const std::string& subject_id,
-                                       linalg::Vector fingerprint,
-                                       linalg::Vector column) {
+void IdentificationIndex::Shard::Settle() {
+  if (tombstones == 0) return;
+  entries.erase(std::remove_if(entries.begin(), entries.end(),
+                               [](const Entry& e) { return e.removed(); }),
+                entries.end());
+  tombstones = 0;
+}
+
+void IdentificationIndex::CommitEnrolls(std::vector<Entry> batch) {
+  if (batch.empty()) return;
+  // Bucket the batch by shard, each bucket ascending by id.
+  std::vector<std::pair<std::size_t, std::size_t>> order;  // (shard, entry)
+  order.reserve(batch.size());
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    order.emplace_back(ShardOf(batch[i].id), i);
+  }
+  std::sort(order.begin(), order.end(),
+            [&batch](const std::pair<std::size_t, std::size_t>& a,
+                     const std::pair<std::size_t, std::size_t>& b) {
+              if (a.first != b.first) return a.first < b.first;
+              return batch[a.second].id < batch[b.second].id;
+            });
+  for (std::size_t lo = 0; lo < order.size();) {
+    std::size_t hi = lo + 1;
+    while (hi < order.size() && order[hi].first == order[lo].first) ++hi;
+    Shard& shard = shards_[order[lo].first];
+    // Settling first also frees the slot of a re-enrolled tombstoned id.
+    // Then grow once and merge from the back, so every entry moves at most
+    // once and the shard keeps its buffer.
+    shard.Settle();
+    std::vector<Entry>& entries = shard.entries;
+    std::size_t kept = entries.size();
+    std::size_t out = kept + (hi - lo);
+    entries.resize(out);
+    for (std::size_t b = hi; b > lo;) {
+      Entry& next = batch[order[b - 1].second];
+      if (kept > 0 && next.id < entries[kept - 1].id) {
+        entries[--out] = std::move(entries[--kept]);
+      } else {
+        entries[--out] = std::move(next);
+        --b;
+      }
+    }
+    shard.clusters_dirty = true;
+    lo = hi;
+  }
+  size_ += batch.size();
+  NoteMutations(batch.size());
+}
+
+bool IdentificationIndex::CommitRemove(const std::string& subject_id) {
   Shard& shard = shards_[ShardOf(subject_id)];
-  const auto pos = std::lower_bound(
-      shard.entries.begin(), shard.entries.end(), subject_id,
-      [](const Entry& e, const std::string& id) { return e.id < id; });
-  Entry entry;
-  entry.id = subject_id;
-  entry.fingerprint = std::move(fingerprint);
-  if (options_.retain_full_columns) entry.full = std::move(column);
-  shard.entries.insert(pos, std::move(entry));
+  Entry* entry = FindEntry(shard.entries, subject_id);
+  if (entry == nullptr || entry->removed()) return false;
+  linalg::Vector().swap(entry->fingerprint);
+  linalg::Vector().swap(entry->full);
+  ++shard.tombstones;
   shard.clusters_dirty = true;
-  ++size_;
-  NoteMutation();
+  --size_;
+  NoteMutations(1);
+  return true;
 }
 
 Status IdentificationIndex::Enroll(const std::string& subject_id,
@@ -284,9 +343,12 @@ Status IdentificationIndex::EnrollColumns(
   }
 
   // Serial pass: duplicate detection (against the index and within the
-  // batch, in batch order) and report assembly.
+  // batch, in batch order) and report assembly. Only survivors count as
+  // earlier copies, so a copy survives when every earlier one failed.
   std::vector<std::size_t> survivors;
   survivors.reserve(n);
+  std::unordered_set<std::string_view> survivor_ids;
+  survivor_ids.reserve(n);
   for (std::size_t j = 0; j < n; ++j) {
     const std::string& id = ids[j];
     Status status = staged_status[j];
@@ -294,14 +356,9 @@ Status IdentificationIndex::EnrollColumns(
       status = Status::AlreadyExists(
           StrFormat("subject %s already enrolled", id.c_str()));
     }
-    if (status.ok()) {
-      for (std::size_t k : survivors) {
-        if (ids[k] == id) {
-          status = Status::AlreadyExists(StrFormat(
-              "subject %s duplicated within the batch", id.c_str()));
-          break;
-        }
-      }
+    if (status.ok() && !survivor_ids.insert(id).second) {
+      status = Status::AlreadyExists(
+          StrFormat("subject %s duplicated within the batch", id.c_str()));
     }
     if (status.ok()) {
       survivors.push_back(j);
@@ -319,33 +376,32 @@ Status IdentificationIndex::EnrollColumns(
     metrics::Count("batch.subjects_skipped", report->failed.size());
   }
 
-  if (keep_full) {
-    for (std::size_t j : survivors) {
-      staged_fingerprints[j] = MakeFingerprint(staged_full[j]);
-      if (!options_.retain_full_columns) linalg::Vector().swap(staged_full[j]);
+  std::vector<Entry> batch(survivors.size());
+  for (std::size_t s = 0; s < survivors.size(); ++s) {
+    const std::size_t j = survivors[s];
+    Entry& entry = batch[s];
+    entry.id = ids[j];
+    if (keep_full) {
+      entry.fingerprint = MakeFingerprint(staged_full[j]);
+      if (options_.retain_full_columns) {
+        entry.full = std::move(staged_full[j]);
+      } else {
+        linalg::Vector().swap(staged_full[j]);
+      }
+    } else {
+      entry.fingerprint = std::move(staged_fingerprints[j]);
     }
   }
 
   // Write-ahead: one journal record covers the whole surviving batch, so
   // across a crash the batch commits all-or-nothing, exactly like the
-  // in-memory commit loop below. The journaled fingerprints (and retained
-  // columns) are the bytes the commit loop enrolls. A journal error
-  // (nothing reached disk) fails the call with the index bit-unchanged.
-  if (journal_ != nullptr && !survivors.empty()) {
-    std::vector<PendingEnroll> pending(survivors.size());
-    for (std::size_t s = 0; s < survivors.size(); ++s) {
-      pending[s].id = &ids[survivors[s]];
-      pending[s].fingerprint = &staged_fingerprints[survivors[s]];
-      pending[s].column = &staged_full[survivors[s]];
-    }
-    NP_RETURN_IF_ERROR(JournalEnrolls(pending));
-  }
+  // in-memory commit below. The journaled entries are the bytes the commit
+  // enrolls. A journal error (nothing reached disk) fails the call with
+  // the index bit-unchanged.
+  NP_RETURN_IF_ERROR(JournalEnrolls(batch));
 
   // Commit phase: nothing below can fail.
-  for (std::size_t j : survivors) {
-    CommitEnroll(ids[j], std::move(staged_fingerprints[j]),
-                 std::move(staged_full[j]));
-  }
+  CommitEnrolls(std::move(batch));
   metrics::Count("service.enrolls", survivors.size());
   metrics::SetGauge("service.gallery_size", static_cast<double>(size_));
   return Status::OK();
@@ -370,22 +426,16 @@ Status IdentificationIndex::EnrollStream(const connectome::MatrixStore& subjects
 
 Status IdentificationIndex::Remove(const std::string& subject_id) {
   trace::ScopedEnable trace_enable(options_.trace.enabled);
+  fault::ScopedSchedule fault_schedule(options_.fault.schedule);
+  NP_RETURN_IF_ERROR(fault_schedule.status());
   NP_TRACE_SCOPE("service.remove");
-  Shard& shard = shards_[ShardOf(subject_id)];
-  const auto pos = std::lower_bound(
-      shard.entries.begin(), shard.entries.end(), subject_id,
-      [](const Entry& e, const std::string& id) { return e.id < id; });
-  if (pos == shard.entries.end() || pos->id != subject_id) {
+  if (!Contains(subject_id)) {
     return Status::NotFound(
         StrFormat("Remove: subject %s not enrolled", subject_id.c_str()));
   }
-  // Write-ahead: the removal is durable before the entry disappears (the
-  // journal append does not touch shards, so `pos` stays valid).
+  // Write-ahead: the removal is durable before the entry is tombstoned.
   NP_RETURN_IF_ERROR(JournalRemove(subject_id));
-  shard.entries.erase(pos);
-  shard.clusters_dirty = true;
-  --size_;
-  NoteMutation();
+  CommitRemove(subject_id);
   metrics::Count("service.removals", 1);
   metrics::SetGauge("service.gallery_size", static_cast<double>(size_));
   NP_RETURN_IF_ERROR(MaybeAutoRefresh());
@@ -393,25 +443,25 @@ Status IdentificationIndex::Remove(const std::string& subject_id) {
 }
 
 bool IdentificationIndex::Contains(const std::string& subject_id) const {
-  const Shard& shard = shards_[ShardOf(subject_id)];
-  const auto pos = std::lower_bound(
-      shard.entries.begin(), shard.entries.end(), subject_id,
-      [](const Entry& e, const std::string& id) { return e.id < id; });
-  return pos != shard.entries.end() && pos->id == subject_id;
+  const Entry* entry = FindEntry(shards_[ShardOf(subject_id)].entries,
+                                 subject_id);
+  return entry != nullptr && !entry->removed();
 }
 
 std::vector<std::string> IdentificationIndex::EnrolledIds() const {
   std::vector<std::string> ids;
   ids.reserve(size_);
   for (const Shard& shard : shards_) {
-    for (const Entry& entry : shard.entries) ids.push_back(entry.id);
+    for (const Entry& entry : shard.entries) {
+      if (!entry.removed()) ids.push_back(entry.id);
+    }
   }
   std::sort(ids.begin(), ids.end());
   return ids;
 }
 
-void IdentificationIndex::NoteMutation() {
-  ++sketch_staleness_;
+void IdentificationIndex::NoteMutations(std::size_t count) {
+  sketch_staleness_ += count;
   metrics::SetGauge("service.sketch_staleness",
                     static_cast<double>(sketch_staleness_));
 }
@@ -439,14 +489,16 @@ Status IdentificationIndex::RefreshSketch() {
   }
   // Journal enroll records carry fingerprints in the subspace of the
   // snapshot they extend, so none may predate a refit: compact first.
-  if (journal_size_bytes() > 0) NP_RETURN_IF_ERROR(Checkpoint());
+  if (journal_size_bytes() > 0) NP_RETURN_IF_ERROR(Compact());
 
   // Deterministic refit sample: evenly strided over the canonical
   // (ascending-id) gallery order, clamped so the leverage input stays
-  // tall (features >= sampled subjects).
+  // tall (features >= sampled subjects). Settled shards hold only live
+  // members, which the re-projection below also walks.
   std::vector<const Entry*> ordered;
   ordered.reserve(size_);
-  for (const Shard& shard : shards_) {
+  for (Shard& shard : shards_) {
+    shard.Settle();
     for (const Entry& entry : shard.entries) ordered.push_back(&entry);
   }
   std::sort(ordered.begin(), ordered.end(),
@@ -502,11 +554,14 @@ Status IdentificationIndex::RefreshSketch() {
   // publish before it journals a fingerprint of the new subspace.
   if (journal_ == nullptr) return Status::OK();
   subspace_unpublished_ = true;
-  return Checkpoint();
+  return Compact();
 }
 
 void IdentificationIndex::RebuildShardClusters(std::size_t shard_index) {
   Shard& shard = shards_[shard_index];
+  // A shard with tombstones is always dirty, so this is where removals
+  // leave the dense layout every reader of `entries` relies on.
+  shard.Settle();
   shard.clusters.clear();
   shard.clusters_dirty = false;
   const std::size_t n = shard.entries.size();

@@ -21,8 +21,12 @@
 //     the per-shard candidates are merged in ascending shard order, so
 //     IdentifyBatch output is bitwise-identical at any thread count.
 //
-//   * Incremental enrollment. Enroll/Remove update one shard without
-//     refitting the subspace. Mutations since the last (re)fit are
+//   * Incremental enrollment. Enroll/Remove update the subjects' shards
+//     without refitting the subspace and without shifting a shard per
+//     subject: a removal tombstones its entry in place (O(log shard)) and
+//     an enroll batch merges into each shard it touches once. A shard
+//     drops its tombstones before its clusters are rebuilt, so every read
+//     sees the settled sorted layout. Mutations since the last (re)fit are
 //     counted as the sketch staleness (gauge `service.sketch_staleness`);
 //     RefreshSketch() refits leverage on the current gallery — requires
 //     retain_full_columns — and IndexOptions::refresh_interval makes that
@@ -131,8 +135,12 @@ struct IndexOptions {
   /// lowest-index item and leaves the index unchanged; skip-and-report /
   /// quorum drop them into the BatchReport and commit the survivors.
   FailurePolicy failure_policy;
-  /// Fault injection for this index's operations (points
-  /// `service.enroll`, `service.probe`, `service.refresh`).
+  /// Fault injection for this index's operations: the schedule replaces
+  /// the process one for the duration of each of Create, OpenFromSnapshot,
+  /// Enroll*, Remove, Checkpoint, RefreshSketch and Identify*. Points
+  /// `service.enroll`, `service.probe`, `service.refresh`, and the durable
+  /// writers' `io.journal` and `io.snapshot` — including in the automatic
+  /// compaction a mutation triggers.
   fault::FaultConfig fault;
 };
 
@@ -344,17 +352,11 @@ class IdentificationIndex {
     /// Retained full feature column (empty unless retain_full_columns).
     linalg::Vector full;
 
-    Entry() = default;
-    Entry(Entry&&) noexcept = default;
-    /// Swaps the vectors instead of releasing the target's buffers: the
-    /// shift loops of a mid-shard insert or erase then move pointers only,
-    /// whatever the compiler decides to inline into them.
-    Entry& operator=(Entry&& other) noexcept {
-      id = std::move(other.id);
-      fingerprint.swap(other.fingerprint);
-      full.swap(other.full);
-      return *this;
-    }
+    /// A tombstone: Remove releases both vectors instead of erasing the
+    /// entry, so no shard shifts per removal, and the entry keeps its id
+    /// (and so its sorted slot) until its shard settles. A live entry's
+    /// fingerprint is never empty, so the empty one is the mark.
+    bool removed() const { return fingerprint.empty(); }
   };
   struct Cluster {
     linalg::Vector centroid;          ///< Unit norm (or zero).
@@ -363,9 +365,18 @@ class IdentificationIndex {
     std::vector<std::size_t> members;  ///< Entry indices, ascending.
   };
   struct Shard {
-    std::vector<Entry> entries;  ///< Sorted by id.
+    /// Sorted by id, tombstones included. Settled (no tombstones), it is
+    /// exactly the shard's live members in id order — the layout the
+    /// clusters, probes, snapshot and DebugStateString read.
+    std::vector<Entry> entries;
     std::vector<Cluster> clusters;
+    /// Removed entries still in `entries`; a shard holding any is always
+    /// clusters_dirty, so the cluster rebuild settles it before a read.
+    std::size_t tombstones = 0;
     bool clusters_dirty = true;
+
+    /// Drops the tombstones, O(entries); a no-op when there are none.
+    void Settle();
   };
   /// Per-(probe, shard) candidate produced by the parallel fan-out and
   /// consumed by the ordered merge.
@@ -379,35 +390,33 @@ class IdentificationIndex {
     bool has_second = false;
   };
 
-  /// An enroll staged for commit: the fingerprint the commit stores and
-  /// the screened column (read only when retain_full_columns). A journal
-  /// record captures both byte-for-byte, and replay commits them as they
-  /// are, so recovery is bit-identical.
-  struct PendingEnroll {
-    const std::string* id = nullptr;
-    const linalg::Vector* fingerprint = nullptr;
-    const linalg::Vector* column = nullptr;
-  };
-
   IdentificationIndex() = default;
 
-  /// Inserts a screened subject into its shard — the commit half of
-  /// every enroll path; cannot fail. `column` is kept only when
-  /// retain_full_columns.
-  void CommitEnroll(const std::string& subject_id, linalg::Vector fingerprint,
-                    linalg::Vector column);
+  /// Commits a batch of screened subjects — the commit half of every
+  /// enroll path and of enroll-record replay; cannot fail. Ids must be
+  /// distinct and not enrolled. Each shard the batch touches settles and
+  /// takes its share in one merge, so a batch costs O(shard) per shard
+  /// rather than one mid-shard insert per subject.
+  void CommitEnrolls(std::vector<Entry> batch);
+  /// Tombstones an enrolled subject — the commit half of Remove and of
+  /// remove-record replay. Returns false (and changes nothing) when the
+  /// id is not enrolled.
+  bool CommitRemove(const std::string& subject_id);
   /// Write-ahead journals a batch of staged enrolls as ONE record (no-op
   /// when not durable), first publishing a subspace RefreshSketch could
   /// not. An error means the record did not reach the disk and no shard
   /// may be touched.
-  Status JournalEnrolls(const std::vector<PendingEnroll>& pending);
+  Status JournalEnrolls(const std::vector<Entry>& batch);
   Status JournalRemove(const std::string& subject_id);
   /// Applies one replayed journal record. Enrolls of already-present ids
   /// and removals of absent ids are skipped, not errors: a checkpoint
   /// that crashed before truncating its journal leaves records the
   /// snapshot already contains. Malformed payloads are CorruptData.
   Status ApplyJournalRecord(const std::uint8_t* payload, std::size_t size);
-  /// Checkpoint() when the journal has outgrown the compaction trigger.
+  /// Checkpoint() without installing the per-index fault schedule: the
+  /// compaction internal callers run inside a mutation that installed it.
+  Status Compact();
+  /// Compact() when the journal has outgrown the compaction trigger.
   Status MaybeCompact();
   Result<std::vector<std::uint8_t>> SerializeSnapshot() const;
   /// Serializes the index, atomically publishes it at `path` and counts
@@ -431,7 +440,8 @@ class IdentificationIndex {
   Result<BatchIdentifyResult> IdentifyBatchImpl(
       const connectome::GroupMatrix& probes, BatchReport* report,
       bool brute_force);
-  void NoteMutation();
+  /// Adds `count` committed mutations to the sketch staleness.
+  void NoteMutations(std::size_t count);
   /// Runs RefreshSketch when the auto-refresh cadence is due. An
   /// auto-refresh failure is returned by the mutation that triggered it
   /// (the mutation itself stays committed).

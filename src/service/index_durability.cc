@@ -45,6 +45,7 @@
 #include <filesystem>
 #include <fstream>
 #include <memory>
+#include <unordered_set>
 #include <utility>
 
 #include "service/identification_index.h"
@@ -197,7 +198,9 @@ Result<std::vector<std::uint8_t>> IdentificationIndex::SerializeSnapshot()
   std::vector<const Entry*> ordered;
   ordered.reserve(size_);
   for (const Shard& shard : shards_) {
-    for (const Entry& entry : shard.entries) ordered.push_back(&entry);
+    for (const Entry& entry : shard.entries) {
+      if (!entry.removed()) ordered.push_back(&entry);
+    }
   }
   std::sort(ordered.begin(), ordered.end(),
             [](const Entry* a, const Entry* b) { return a->id < b->id; });
@@ -392,30 +395,29 @@ Result<IdentificationIndex> IdentificationIndex::OpenFromSnapshot(
   return index;
 }
 
-Status IdentificationIndex::JournalEnrolls(
-    const std::vector<PendingEnroll>& pending) {
-  if (journal_ == nullptr || pending.empty()) return Status::OK();
+Status IdentificationIndex::JournalEnrolls(const std::vector<Entry>& batch) {
+  if (journal_ == nullptr || batch.empty()) return Status::OK();
   // The record's fingerprints are in the in-memory subspace; the snapshot
   // the journal extends must be in it too before they reach the disk.
-  if (subspace_unpublished_) NP_RETURN_IF_ERROR(Checkpoint());
+  if (subspace_unpublished_) NP_RETURN_IF_ERROR(Compact());
   const std::size_t dim = selected_features_.size();
   const std::size_t full_count =
       options_.retain_full_columns ? full_feature_count_ : 0;
   std::size_t bytes = 1 + sizeof(std::uint32_t);
-  for (const PendingEnroll& enroll : pending) {
-    bytes += EntryBytes(*enroll.id, dim + full_count);
+  for (const Entry& entry : batch) {
+    bytes += EntryBytes(entry.id, dim + full_count);
   }
   std::vector<std::uint8_t> payload;
   payload.reserve(bytes);
   payload.push_back(kRecordEnroll);
-  AppendLE(payload, static_cast<std::uint32_t>(pending.size()));
-  for (const PendingEnroll& enroll : pending) {
+  AppendLE(payload, static_cast<std::uint32_t>(batch.size()));
+  for (const Entry& entry : batch) {
     const linalg::Vector* full =
-        options_.retain_full_columns ? enroll.column : nullptr;
-    NP_CHECK_EQ(enroll.fingerprint->size(), dim);
+        options_.retain_full_columns ? &entry.full : nullptr;
+    NP_CHECK_EQ(entry.fingerprint.size(), dim);
     NP_CHECK(full == nullptr || full->size() == full_feature_count_);
     NP_RETURN_IF_ERROR(
-        AppendEntry("Enroll", *enroll.id, *enroll.fingerprint, full, payload));
+        AppendEntry("Enroll", entry.id, entry.fingerprint, full, payload));
   }
   return journal_->Append(payload.data(), payload.size());
 }
@@ -449,20 +451,22 @@ Status IdentificationIndex::ApplyJournalRecord(const std::uint8_t* payload,
     }
     const std::size_t full_count =
         options_.retain_full_columns ? full_feature_count_ : 0;
+    std::vector<Entry> batch;
+    std::unordered_set<std::string> batch_ids;
     for (std::uint32_t i = 0; i < count; ++i) {
-      std::string id;
-      linalg::Vector fingerprint;
-      linalg::Vector column;
-      if (!cursor.ReadEntry(selected_features_.size(), full_count, &id,
-                            &fingerprint, &column)) {
+      Entry entry;
+      if (!cursor.ReadEntry(selected_features_.size(), full_count, &entry.id,
+                            &entry.fingerprint, &entry.full)) {
         return Status::CorruptData("truncated journal enroll record");
       }
       // Already enrolled: this record predates the snapshot (a checkpoint
       // crashed after publishing it but before truncating the journal) —
-      // replay converges by skipping, not failing.
-      if (Contains(id)) continue;
-      CommitEnroll(id, std::move(fingerprint), std::move(column));
+      // replay converges by skipping, not failing. A repeated id keeps
+      // its first copy, as committing one entry at a time would.
+      if (Contains(entry.id) || !batch_ids.insert(entry.id).second) continue;
+      batch.push_back(std::move(entry));
     }
+    CommitEnrolls(std::move(batch));
   } else if (type == kRecordFullColumnEnroll) {
     return Status::Unimplemented(
         "journal holds an enroll record of the older full-column format "
@@ -476,16 +480,8 @@ Status IdentificationIndex::ApplyJournalRecord(const std::uint8_t* payload,
         !cursor.ReadString(id_length, &id)) {
       return Status::CorruptData("truncated journal remove record");
     }
-    Shard& shard = shards_[ShardOf(id)];
-    const auto pos = std::lower_bound(
-        shard.entries.begin(), shard.entries.end(), id,
-        [](const Entry& e, const std::string& want) { return e.id < want; });
-    // Absent: redundant like the enroll case above — skip.
-    if (pos == shard.entries.end() || pos->id != id) return Status::OK();
-    shard.entries.erase(pos);
-    shard.clusters_dirty = true;
-    --size_;
-    NoteMutation();
+    // Absent: redundant like the enroll case above — skipped.
+    CommitRemove(id);
   } else {
     return Status::CorruptData(
         StrFormat("unknown journal record type %u", type));
@@ -592,10 +588,18 @@ Result<IdentificationIndex> IdentificationIndex::OpenDurable(
 }
 
 Status IdentificationIndex::Checkpoint() {
+  trace::ScopedEnable trace_enable(options_.trace.enabled);
+  fault::ScopedSchedule fault_schedule(options_.fault.schedule);
+  NP_RETURN_IF_ERROR(fault_schedule.status());
   if (!durable()) {
     return Status::FailedPrecondition(
         "Checkpoint: index has no journal (CreateDurable/OpenDurable)");
   }
+  return Compact();
+}
+
+Status IdentificationIndex::Compact() {
+  NP_CHECK(durable());
   NP_TRACE_SCOPE("durability.compact");
   NP_ASSIGN_OR_RETURN(snapshot_bytes_, PublishSnapshot(snapshot_path_));
   subspace_unpublished_ = false;
@@ -617,7 +621,7 @@ Status IdentificationIndex::MaybeCompact() {
     return Status::OK();
   }
   metrics::Count("service.compactions", 1);
-  return Checkpoint();
+  return Compact();
 }
 
 }  // namespace neuroprint::service
